@@ -120,7 +120,7 @@ void sweep_boundary(int jobs) {
     const da::Config below{.n = 4, .m = 1, .u = 2};
     da::sweep::SweepStats stats;
     const auto violation =
-        da::faults::exhaustive_behavior_search(below, -1, options, &stats);
+        da::faults::exhaustive_behavior_search(below, {}, options, &stats);
     std::printf("\nN = 4 (one node short): %s\n",
                 violation.has_value()
                     ? ("violation FOUND (expected): " +
@@ -134,7 +134,7 @@ void sweep_boundary(int jobs) {
     const da::Config tight{.n = 5, .m = 1, .u = 2};
     da::sweep::SweepStats stats;
     const auto violation =
-        da::faults::exhaustive_behavior_search(tight, -1, options, &stats);
+        da::faults::exhaustive_behavior_search(tight, {}, options, &stats);
     std::printf("\nN = 5 (the bound, %llu behaviours): %s\n",
                 static_cast<unsigned long long>(
                     da::faults::behavior_search_space(tight)),

@@ -211,7 +211,7 @@ void BM_BehaviourSweep(benchmark::State& state) {
   da::sweep::SweepStats stats;
   for (auto _ : state) {
     const auto violation =
-        da::faults::exhaustive_behavior_search(config, -1, options, &stats);
+        da::faults::exhaustive_behavior_search(config, {}, options, &stats);
     benchmark::DoNotOptimize(violation);
   }
   state.counters["executions"] = static_cast<double>(stats.executions);
@@ -219,52 +219,14 @@ void BM_BehaviourSweep(benchmark::State& state) {
   state.counters["shards"] = static_cast<double>(stats.shards);
 }
 
-// Checkpoint-engine ablation: the adversary-complete behaviour walk with
-// the checkpoint/fork engine on vs off, single worker, on *clean*
-// configurations so both sides scan the full space (n = 4 and the
-// Theorem 2 boundary n = 5). range(0) = n, range(1) = checkpointing.
-// tests/test_fork_engine.cpp holds the two sides to identical verdicts
-// and execution counts; this measures what the forking buys.
-void BM_BehaviorSearch(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const bool checkpointing = state.range(1) != 0;
-  const da::Config config{.n = n, .m = 1, .u = n - 3};
-  da::sweep::SweepOptions options;
-  options.jobs = 1;
-  da::sweep::SweepStats stats;
-  for (auto _ : state) {
-    const auto violation = da::faults::exhaustive_behavior_search(
-        config, -1, options, &stats, checkpointing);
-    benchmark::DoNotOptimize(violation);
-  }
-  state.counters["executions"] = static_cast<double>(stats.executions);
-  state.counters["checkpointing"] = checkpointing ? 1 : 0;
-}
-BENCHMARK(BM_BehaviorSearch)
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({5, 0})
-    ->Args({5, 1})
-    ->Unit(benchmark::kMillisecond);
-
-// Symmetry-reduction ablation: the behaviour walk visiting every ordinal
-// vs only the canonical representative of each receiver-relabeling orbit
-// (docs/SEARCH.md §5), single worker, checkpointing on, clean configs so
-// both sides settle the whole space. range(0) = n, range(1) = symmetry.
-// tests/test_canonicalization.cpp holds the two sides to identical
-// verdicts and reconciled counts; this measures what the orbit skip buys
-// (the `executions` counter shrinks to the representatives run while
-// `weighted` stays at the full 4^k space).
-void BM_BehaviorSearchCanonical(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const bool symmetry = state.range(1) != 0;
-  const da::Config config{.n = n, .m = 1, .u = n - 3};
-  da::faults::BehaviorSearchOptions search;
-  search.symmetry = symmetry;
-  // Subset quotient pinned off on both sides: these rows isolate what the
-  // receiver-orbit skip buys (BM_BehaviorSearchSubsetCanonical below
-  // measures the quotient on top of it).
-  search.subset_symmetry = false;
+// One single-worker behaviour search per iteration at `reduction`, on a
+// clean config so every row settles the whole space. Counters: the
+// representatives executed and their orbit-weighted total, which stays at
+// the full 4^k space for every level (tests/test_canonicalization.cpp
+// holds all levels to identical verdicts and reconciled counts).
+void run_behavior_search(benchmark::State& state, const da::Config& config,
+                         da::faults::Reduction reduction) {
+  const da::faults::BehaviorSearchOptions search{.reduction = reduction};
   da::sweep::SweepOptions options;
   options.jobs = 1;
   da::sweep::SweepStats stats;
@@ -275,7 +237,25 @@ void BM_BehaviorSearchCanonical(benchmark::State& state) {
   }
   state.counters["executions"] = static_cast<double>(stats.executions);
   state.counters["weighted"] = static_cast<double>(stats.weighted_executions);
-  state.counters["symmetry"] = symmetry ? 1 : 0;
+}
+
+// The production walk (Reduction::kQuotient, forked) at n = 4 and the
+// Theorem 2 boundary n = 5. range(0) = n.
+void BM_BehaviorSearch(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  run_behavior_search(state, da::Config{.n = n, .m = 1, .u = n - 3},
+                      da::faults::Reduction::kQuotient);
+}
+BENCHMARK(BM_BehaviorSearch)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
+
+// Reduction ablation, one rung per row family: range(0) = n and range(1)
+// picks the lower (0) or upper (1) of two adjacent levels. This rung is
+// the receiver-orbit skip (docs/SEARCH.md §5): kNone vs kOrbits.
+void BM_BehaviorSearchCanonical(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  run_behavior_search(state, da::Config{.n = n, .m = 1, .u = n - 3},
+                      state.range(1) != 0 ? da::faults::Reduction::kOrbits
+                                          : da::faults::Reduction::kNone);
 }
 BENCHMARK(BM_BehaviorSearchCanonical)
     ->Args({4, 0})
@@ -284,32 +264,14 @@ BENCHMARK(BM_BehaviorSearchCanonical)
     ->Args({5, 1})
     ->Unit(benchmark::kMillisecond);
 
-// Subset-conjugacy ablation: receiver symmetry on for both sides, the
-// faulty-subset quotient (docs/SEARCH.md §6) off vs on. range(0) = n,
-// range(1) = subset_symmetry; u = 2 so n = 6 is the (6,1,2) headline
-// regime where the quotient walks 4 of 21 nonempty segments. The
-// three-way differential in tests/test_canonicalization.cpp holds both
-// sides to identical verdicts and reconciled counts; this measures what
-// skipping conjugate segments buys (`executions` shrinks again while
-// `weighted` stays at the full 4^k space).
+// Subset-conjugacy rung (docs/SEARCH.md §6): kOrbits (0) vs kQuotient
+// (1). u = 2 so n = 6 is the (6,1,2) headline regime where the quotient
+// walks 4 of 21 nonempty segments.
 void BM_BehaviorSearchSubsetCanonical(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const bool subset_symmetry = state.range(1) != 0;
-  const da::Config config{.n = n, .m = 1, .u = 2};
-  da::faults::BehaviorSearchOptions search;
-  search.symmetry = true;
-  search.subset_symmetry = subset_symmetry;
-  da::sweep::SweepOptions options;
-  options.jobs = 1;
-  da::sweep::SweepStats stats;
-  for (auto _ : state) {
-    const auto violation =
-        da::faults::exhaustive_behavior_search(config, search, options, &stats);
-    benchmark::DoNotOptimize(violation);
-  }
-  state.counters["executions"] = static_cast<double>(stats.executions);
-  state.counters["weighted"] = static_cast<double>(stats.weighted_executions);
-  state.counters["subset_symmetry"] = subset_symmetry ? 1 : 0;
+  run_behavior_search(state, da::Config{.n = n, .m = 1, .u = 2},
+                      state.range(1) != 0 ? da::faults::Reduction::kQuotient
+                                          : da::faults::Reduction::kOrbits);
 }
 BENCHMARK(BM_BehaviorSearchSubsetCanonical)
     ->Args({5, 0})
@@ -318,32 +280,9 @@ BENCHMARK(BM_BehaviorSearchSubsetCanonical)
     ->Args({6, 1})
     ->Unit(benchmark::kMillisecond);
 
-// Same ablation for the adversary-family search, whose checkpoint is the
-// honest round-0 prefix shared across the family (n = 7 feasible config,
-// no violation, so every scenario runs the whole family).
-void BM_SearchViolation(benchmark::State& state) {
-  const bool checkpointing = state.range(0) != 0;
-  const da::Config config{.n = 7, .m = 1, .u = 4};
-  da::faults::SearchOptions search;
-  search.seed = 7;
-  search.checkpointing = checkpointing;
-  da::sweep::SweepOptions options;
-  options.jobs = 1;
-  da::sweep::SweepStats stats;
-  for (auto _ : state) {
-    const auto violation =
-        da::faults::search_violation(config, search, options, &stats);
-    benchmark::DoNotOptimize(violation);
-  }
-  state.counters["executions"] = static_cast<double>(stats.executions);
-  state.counters["checkpointing"] = checkpointing ? 1 : 0;
-}
-BENCHMARK(BM_SearchViolation)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-// The adversary-family search on a mid-size feasible config, same split.
+// The adversary-family search on a mid-size feasible config (no
+// violation, so every scenario runs the whole family), on 1 worker and
+// on the `--jobs` value.
 void BM_FamilySearchSweep(benchmark::State& state) {
   const int jobs = static_cast<int>(state.range(0));
   const da::Config config{.n = 7, .m = 1, .u = 4};

@@ -6,16 +6,16 @@
 //   search_resume init    --out F [--n N --m M --u U] [--max-f K] [--seed S]
 //                         [--no-subset-symmetry]
 //   search_resume run     --frontier F [--jobs J] [--max-shards K]
-//                         [--no-symmetry] [--no-checkpointing]
 //   search_resume status  --frontier F
 //   search_resume split   --frontier F --parts P --out-prefix PFX
 //   search_resume merge   --out F part1 part2 ...
 //   search_resume artifact --frontier F [--out F2]
 //
-// `init` writes a subset-quotiented frontier (da-frontier v2) by
-// default; `--no-subset-symmetry` writes the full v1 plan. The choice is
-// baked into the file — `run` derives it from the class records, so v1
-// files keep resuming unquotiented (docs/SEARCH.md §6).
+// `init` writes a frontier for the fully quotiented `Reduction::kQuotient`
+// walk (da-frontier v2) by default; `--no-subset-symmetry` writes the
+// full v1 plan. The level is baked into the file — `run` derives it from
+// the class records, so v2 files resume at kQuotient and v1 files at
+// kOrbits, one representative per receiver orbit (docs/SEARCH.md §6).
 //
 // `run` checkpoints the frontier back to its file after every settled
 // shard (atomic tmp+rename), so a `kill -9` mid-sweep loses at most the
@@ -53,7 +53,6 @@ namespace {
       "[--seed S]\n"
       "                        [--no-subset-symmetry]\n"
       "  search_resume run     --frontier F [--jobs J] [--max-shards K]\n"
-      "                        [--no-symmetry] [--no-checkpointing]\n"
       "  search_resume status  --frontier F\n"
       "  search_resume split   --frontier F --parts P --out-prefix PFX\n"
       "  search_resume merge   --out F part1 part2 ...\n"
@@ -153,14 +152,11 @@ void print_status(const da::faults::Frontier& frontier) {
   }
 }
 
-int cmd_run(const std::string& path, int jobs, int max_shards, bool symmetry,
-            bool checkpointing) {
+int cmd_run(const std::string& path, int jobs, int max_shards) {
   da::faults::Frontier frontier = load_or_die(path);
   da::faults::FrontierRunOptions options;
   options.jobs = jobs;
   options.max_shards = max_shards;
-  options.symmetry = symmetry;
-  options.checkpointing = checkpointing;
   options.checkpoint = [&path](const da::faults::Frontier& snapshot) {
     // Best-effort incremental checkpoint; the final state is saved below.
     (void)da::faults::save_frontier(snapshot, path);
@@ -256,9 +252,7 @@ int main(int argc, char** argv) {
   int jobs = 1;
   int parts = 0;
   int max_shards = -1;
-  bool symmetry = true;
-  bool subset_symmetry = true;
-  bool checkpointing = true;
+  da::faults::Reduction reduction = da::faults::Reduction::kQuotient;
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
     const auto value = [&]() -> const char* {
@@ -287,12 +281,8 @@ int main(int argc, char** argv) {
       parts = parse_int(arg, value());
     } else if (std::strcmp(arg, "--max-shards") == 0) {
       max_shards = parse_int(arg, value());
-    } else if (std::strcmp(arg, "--no-symmetry") == 0) {
-      symmetry = false;
     } else if (std::strcmp(arg, "--no-subset-symmetry") == 0) {
-      subset_symmetry = false;
-    } else if (std::strcmp(arg, "--no-checkpointing") == 0) {
-      checkpointing = false;
+      reduction = da::faults::Reduction::kOrbits;
     } else if (arg[0] == '-') {
       usage(arg);
     } else {
@@ -305,14 +295,14 @@ int main(int argc, char** argv) {
     const da::Config config{.n = n, .m = m, .u = u};
     if (!config.valid() || config.m > 1) usage("invalid config");
     const da::faults::Frontier frontier = da::faults::init_behavior_frontier(
-        config, max_f, static_cast<std::uint64_t>(seed), subset_symmetry);
+        config, max_f, static_cast<std::uint64_t>(seed), reduction);
     save_or_die(frontier, out);
     print_status(frontier);
     return 0;
   }
   if (cmd == "run") {
     if (frontier_path.empty()) usage("run needs --frontier");
-    return cmd_run(frontier_path, jobs, max_shards, symmetry, checkpointing);
+    return cmd_run(frontier_path, jobs, max_shards);
   }
   if (cmd == "status") {
     if (frontier_path.empty()) usage("status needs --frontier");

@@ -188,17 +188,14 @@ struct Segment {
   std::size_t round0_slots = 0;
 };
 
-/// Builds the representative segments. Bases always advance over *every*
-/// subset — the global ordinal space stays the unreduced one — but with
-/// `subset_symmetry` only one subset per conjugacy class materializes as
-/// a Segment; the rest become gaps the shard plan skips. Representatives
-/// are the lexicographically-first subsets of their class, which is also
-/// the class member with the smallest base, so the quotiented walk's
-/// first hit is the unquotiented walk's first hit (docs/SEARCH.md §6).
-std::vector<Segment> build_segments(const Config& config, int limit,
-                                    bool subset_symmetry) {
-  std::vector<Segment> segments;
-  std::uint64_t base = 0;
+int resolve_limit(const Config& config, int max_f) {
+  return max_f < 0 ? config.u : max_f;
+}
+
+/// Invokes `fn(spec, slots)` for every faulty subset of the enumeration,
+/// in the serial scan order (f ascending, subsets lexicographic).
+template <typename SegmentFn>
+void for_each_segment(const Config& config, int limit, SegmentFn&& fn) {
   for (int f = 1; f <= limit; ++f) {
     for_each_subset(config.n, f, [&](const std::vector<NodeId>& faulty) {
       ScenarioSpec spec;
@@ -207,37 +204,74 @@ std::vector<Segment> build_segments(const Config& config, int limit,
       spec.sender_value = Value::of(7);
       spec.faulty = faulty;
       auto slots = controlled_slots(spec);
-      DA_EXPECTS(slots.size() <= 12);  // 4^12 = 16M: keep runs bounded
-      if (subset_symmetry &&
-          !is_subset_representative(config.n, spec.sender, faulty)) {
-        subset_skipped_counter().add();
-        base += pow_symbols(slots.size());
-        return;
-      }
-      Segment seg;
-      seg.spec = std::move(spec);
-      seg.slots = std::move(slots);
-      seg.sym = make_slot_symmetry(seg.spec, seg.slots);
-      seg.round0_slots = seg.spec.sender_faulty()
-                             ? static_cast<std::size_t>(config.n - 1)
-                             : 0;
-      // The sender is node 0 and subsets are sorted, so its round-0 slots
-      // are exactly the leading run — the digit split relies on that.
-      for (std::size_t i = 0; i < seg.slots.size(); ++i) {
-        DA_EXPECTS((seg.slots[i].first == seg.spec.sender) ==
-                   (i < seg.round0_slots));
-      }
-      if (subset_symmetry) {
-        seg.class_size =
-            subset_class_size(config.n, seg.spec.sender, seg.spec.faulty);
-        subset_classes_counter().add();
-        subset_members_counter().add(seg.class_size);
-      }
-      seg.base = base;
-      base += pow_symbols(seg.slots.size());
-      segments.push_back(std::move(seg));
+      fn(std::move(spec), std::move(slots));
     });
   }
+}
+
+/// Clean-sweep execution count of a walk at `reduction` (see the three
+/// public *_space functions).
+std::uint64_t space_at(const Config& config, int max_f, Reduction reduction) {
+  DA_EXPECTS(config.valid());
+  std::uint64_t total = 0;
+  for_each_segment(
+      config, resolve_limit(config, max_f),
+      [&](const ScenarioSpec& spec,
+          const std::vector<std::pair<NodeId, NodeId>>& slots) {
+        if (reduction == Reduction::kQuotient &&
+            !is_subset_representative(config.n, spec.sender, spec.faulty)) {
+          return;
+        }
+        total += reduction == Reduction::kNone
+                     ? pow_symbols(slots.size())
+                     : canonical_count(make_slot_symmetry(spec, slots));
+      });
+  return total;
+}
+
+/// Builds the representative segments. Bases always advance over *every*
+/// subset — the global ordinal space stays the unreduced one — but at
+/// kQuotient only one subset per conjugacy class materializes as a
+/// Segment; the rest become gaps the shard plan skips. Representatives
+/// are the lexicographically-first subsets of their class, which is also
+/// the class member with the smallest base, so the quotiented walk's
+/// first hit is the unquotiented walk's first hit (docs/SEARCH.md §6).
+std::vector<Segment> build_segments(const Config& config, int limit,
+                                    Reduction reduction) {
+  const bool quotient = reduction == Reduction::kQuotient;
+  std::vector<Segment> segments;
+  std::uint64_t base = 0;
+  for_each_segment(config, limit, [&](ScenarioSpec spec, auto slots) {
+    DA_EXPECTS(slots.size() <= 12);  // 4^12 = 16M: keep runs bounded
+    if (quotient &&
+        !is_subset_representative(config.n, spec.sender, spec.faulty)) {
+      subset_skipped_counter().add();
+      base += pow_symbols(slots.size());
+      return;
+    }
+    Segment seg;
+    seg.spec = std::move(spec);
+    seg.slots = std::move(slots);
+    seg.sym = make_slot_symmetry(seg.spec, seg.slots);
+    seg.round0_slots = seg.spec.sender_faulty()
+                           ? static_cast<std::size_t>(config.n - 1)
+                           : 0;
+    // The sender is node 0 and subsets are sorted, so its round-0 slots
+    // are exactly the leading run — the digit split relies on that.
+    for (std::size_t i = 0; i < seg.slots.size(); ++i) {
+      DA_EXPECTS((seg.slots[i].first == seg.spec.sender) ==
+                 (i < seg.round0_slots));
+    }
+    if (quotient) {
+      seg.class_size =
+          subset_class_size(config.n, seg.spec.sender, seg.spec.faulty);
+      subset_classes_counter().add();
+      subset_members_counter().add(seg.class_size);
+    }
+    seg.base = base;
+    base += pow_symbols(seg.slots.size());
+    segments.push_back(std::move(seg));
+  });
   return segments;
 }
 
@@ -259,13 +293,10 @@ struct ShardState {
 /// state shared by the one-shot search and the resumable frontier driver.
 class BehaviorSweep {
  public:
-  BehaviorSweep(const Config& config, int limit, bool checkpointing,
-                bool symmetry, bool subset_symmetry)
-      : checkpointing_(checkpointing),
-        symmetry_(symmetry),
-        subset_symmetry_(subset_symmetry),
+  BehaviorSweep(const Config& config, int limit, Reduction reduction)
+      : reduction_(reduction),
         protocol_(config),
-        segments_(build_segments(config, limit, subset_symmetry)) {
+        segments_(build_segments(config, limit, reduction)) {
     for (const Segment& seg : segments_) {
       // Skipped conjugate segments are gaps: the plan advances its
       // ordinal space over them without creating shards, so every
@@ -276,17 +307,17 @@ class BehaviorSweep {
     const std::uint64_t space = behavior_search_space(config, limit);
     if (space > plan_.total()) plan_.skip(space - plan_.total());
     candidates_.resize(plan_.shard_count());
-    shard_states_.resize(checkpointing_ ? plan_.shard_count() : 0);
+    shard_states_.resize(plan_.shard_count());
   }
 
   [[nodiscard]] const sweep::ShardPlan& plan() const { return plan_; }
 
-  /// The conjugacy-class table in frontier form (empty when the subset
-  /// quotient is off — the segments then tile the space contiguously and
-  /// the frontier serializes as v1).
+  /// The conjugacy-class table in frontier form (empty below kQuotient —
+  /// the segments then tile the space contiguously and the frontier
+  /// serializes as v1).
   [[nodiscard]] std::vector<FrontierClass> classes() const {
     std::vector<FrontierClass> out;
-    if (!subset_symmetry_) return out;
+    if (reduction_ != Reduction::kQuotient) return out;
     out.reserve(segments_.size());
     for (const Segment& seg : segments_) {
       FrontierClass cls;
@@ -309,7 +340,8 @@ class BehaviorSweep {
     return candidates_[shard];
   }
 
-  /// Scratch single-ordinal execution (no sweep, no checkpoint state).
+  /// Scratch single-ordinal execution (no sweep, no checkpoint state): the
+  /// one path that runs a behaviour from scratch instead of forking it.
   [[nodiscard]] std::optional<Violation> at(std::uint64_t ordinal) {
     const Segment& seg = segment_of(ordinal);
     const std::uint64_t counter = ordinal - seg.base;
@@ -346,7 +378,7 @@ class BehaviorSweep {
     // and picks up the receiver-orbit size below; the product is what a
     // clean sweep reconciles against the full unreduced space.
     std::uint64_t weight = seg.class_size;
-    if (symmetry_) {
+    if (reduction_ != Reduction::kNone) {
       if (!seg.sym.trivial()) {
         // Non-canonical prefix: leap to the orbit's next representative.
         // Every ordinal in between shares a "column j > column j+1"
@@ -376,16 +408,6 @@ class BehaviorSweep {
       }
       return out;
     };
-
-    if (!checkpointing_) {
-      // Scratch path: one full execution, adversary rebuilt per ordinal.
-      TableAdversary adversary(seg.spec.config.n, seg.slots);
-      apply_digits(counter, slots, 0, slots, alphabet,
-                   [&](std::size_t i, Value v) {
-                     adversary.set(seg.slots[i], v);
-                   });
-      return report_at(protocol_.run_and_check(seg.spec, &adversary));
-    }
 
     // Checkpoint walk: ordinals inside a shard share their leading base-4
     // digits, i.e. their round-0 assignment, so the post-round-0 state is
@@ -450,19 +472,13 @@ class BehaviorSweep {
     return report_at(check_conditions(seg.spec, st.result.decisions));
   }
 
-  bool checkpointing_;
-  bool symmetry_;
-  bool subset_symmetry_;
+  Reduction reduction_;
   DegradableAgreement protocol_;
   std::vector<Segment> segments_;
   sweep::ShardPlan plan_;
   std::vector<std::optional<Violation>> candidates_;
   std::vector<ShardState> shard_states_;
 };
-
-int resolve_limit(const Config& config, int max_f) {
-  return max_f < 0 ? config.u : max_f;
-}
 
 }  // namespace
 
@@ -472,8 +488,7 @@ std::optional<Violation> exhaustive_behavior_search(
   DA_EXPECTS(config.valid());
   DA_EXPECTS(config.m <= 1);  // depth-2 instances only
   BehaviorSweep search(config, resolve_limit(config, options.max_f),
-                       options.checkpointing, options.symmetry,
-                       options.subset_symmetry);
+                       options.reduction);
   const sweep::SweepResult result =
       sweep::run_sweep(search.plan(), sweep_options, search.visitor());
   if (stats != nullptr) *stats = result.stats;
@@ -481,71 +496,18 @@ std::optional<Violation> exhaustive_behavior_search(
   return search.candidate(*result.first_hit_shard);
 }
 
-std::optional<Violation> exhaustive_behavior_search(
-    const Config& config, int max_f, const sweep::SweepOptions& options,
-    sweep::SweepStats* stats, bool checkpointing) {
-  BehaviorSearchOptions search_options;
-  search_options.max_f = max_f;
-  search_options.checkpointing = checkpointing;
-  return exhaustive_behavior_search(config, search_options, options, stats);
-}
-
-std::optional<Violation> exhaustive_behavior_search(const Config& config,
-                                                    int max_f) {
-  return exhaustive_behavior_search(config, max_f, sweep::SweepOptions{});
-}
-
 std::uint64_t behavior_search_space(const Config& config, int max_f) {
-  DA_EXPECTS(config.valid());
-  const int limit = resolve_limit(config, max_f);
-  std::uint64_t total = 0;
-  for (int f = 1; f <= limit; ++f) {
-    for_each_subset(config.n, f, [&](const std::vector<NodeId>& faulty) {
-      ScenarioSpec spec;
-      spec.config = config;
-      spec.sender = 0;
-      spec.faulty = faulty;
-      total += pow_symbols(controlled_slots(spec).size());
-    });
-  }
-  return total;
+  return space_at(config, max_f, Reduction::kNone);
 }
 
 std::uint64_t behavior_search_canonical_space(const Config& config,
                                               int max_f) {
-  DA_EXPECTS(config.valid());
-  const int limit = resolve_limit(config, max_f);
-  std::uint64_t total = 0;
-  for (int f = 1; f <= limit; ++f) {
-    for_each_subset(config.n, f, [&](const std::vector<NodeId>& faulty) {
-      ScenarioSpec spec;
-      spec.config = config;
-      spec.sender = 0;
-      spec.faulty = faulty;
-      const auto slots = controlled_slots(spec);
-      total += canonical_count(make_slot_symmetry(spec, slots));
-    });
-  }
-  return total;
+  return space_at(config, max_f, Reduction::kOrbits);
 }
 
 std::uint64_t behavior_search_quotient_space(const Config& config,
                                              int max_f) {
-  DA_EXPECTS(config.valid());
-  const int limit = resolve_limit(config, max_f);
-  std::uint64_t total = 0;
-  for (int f = 1; f <= limit; ++f) {
-    for_each_subset(config.n, f, [&](const std::vector<NodeId>& faulty) {
-      ScenarioSpec spec;
-      spec.config = config;
-      spec.sender = 0;
-      spec.faulty = faulty;
-      if (!is_subset_representative(config.n, spec.sender, faulty)) return;
-      const auto slots = controlled_slots(spec);
-      total += canonical_count(make_slot_symmetry(spec, slots));
-    });
-  }
-  return total;
+  return space_at(config, max_f, Reduction::kQuotient);
 }
 
 std::optional<Violation> behavior_at(const Config& config, int max_f,
@@ -556,18 +518,16 @@ std::optional<Violation> behavior_at(const Config& config, int max_f,
   DA_EXPECTS(ordinal < behavior_search_space(config, limit));
   // Unquotiented on purpose: any full-space ordinal must resolve, not
   // just ordinals inside representative segments.
-  BehaviorSweep search(config, limit, /*checkpointing=*/false,
-                       /*symmetry=*/false, /*subset_symmetry=*/false);
+  BehaviorSweep search(config, limit, Reduction::kNone);
   return search.at(ordinal);
 }
 
 Frontier init_behavior_frontier(const Config& config, int max_f,
-                                std::uint64_t seed, bool subset_symmetry) {
+                                std::uint64_t seed, Reduction reduction) {
   DA_EXPECTS(config.valid());
   DA_EXPECTS(config.m <= 1);
   const int limit = resolve_limit(config, max_f);
-  BehaviorSweep search(config, limit, /*checkpointing=*/false,
-                       /*symmetry=*/false, subset_symmetry);
+  BehaviorSweep search(config, limit, reduction);
   Frontier frontier;
   frontier.config = config;
   frontier.max_f = limit;  // resolved, so the header is self-contained
@@ -599,12 +559,13 @@ FrontierRun run_behavior_frontier(Frontier& frontier,
     run.error = "frontier space does not match the search space";
     return run;
   }
-  // The subset quotient is baked into the frontier: class records mean a
-  // quotiented plan; their absence (a v1 file) means the full plan.
-  const bool subset_symmetry = !frontier.classes.empty();
-  BehaviorSweep search(frontier.config, limit, options.checkpointing,
-                       options.symmetry, subset_symmetry);
-  if (subset_symmetry) {
+  // The level is baked into the frontier: class records mean the
+  // quotiented plan; their absence (a v1 file) means the full plan, walked
+  // one representative per receiver orbit.
+  const bool quotient = !frontier.classes.empty();
+  BehaviorSweep search(frontier.config, limit,
+                       quotient ? Reduction::kQuotient : Reduction::kOrbits);
+  if (quotient) {
     const std::vector<FrontierClass> expected = search.classes();
     bool match = frontier.classes.size() == expected.size();
     for (std::size_t i = 0; match && i < expected.size(); ++i) {

@@ -10,6 +10,30 @@
 
 namespace da::faults {
 
+/// How much of the behaviour space's symmetry the walk quotients out.
+/// Every level returns the same verdict and first-hit ordinal, and on a
+/// clean sweep the same weighted execution count; only the number of
+/// representatives actually executed shrinks. Every level forks each
+/// execution from a checkpointed post-round-0 state (docs/SEARCH.md §4).
+enum class Reduction {
+  /// Every ordinal of the 4^k space executes (the test reference).
+  kNone,
+  /// One representative per receiver-relabeling orbit, weighted by its
+  /// orbit size (docs/SEARCH.md §5). A v1 frontier resumes at this level.
+  kOrbits,
+  /// kOrbits plus one faulty subset per conjugacy class under
+  /// sender-fixing node permutations; a representative's weight is its
+  /// orbit size times its class size, and conjugate segments never
+  /// execute at all (docs/SEARCH.md §6). Production; v2 frontiers.
+  kQuotient,
+};
+
+struct BehaviorSearchOptions {
+  /// Largest fault count to try; -1 means the config's u.
+  int max_f = -1;
+  Reduction reduction = Reduction::kQuotient;
+};
+
 /// Exhaustive *behaviour* search for depth-2 instances (BYZ(m,m) with
 /// m <= 1): instead of a fixed adversary family, enumerate every
 /// deterministic assignment of values to every message a faulty node
@@ -35,75 +59,37 @@ namespace da::faults {
 /// Returns the first violating scenario, or nullopt if *no behaviour at
 /// all* breaks the conditions — the executable form of Theorem 1 for
 /// these configurations.
-[[nodiscard]] std::optional<Violation> exhaustive_behavior_search(
-    const Config& config, int max_f = -1);
-
-/// Knobs for the behaviour enumeration itself (the sweep-pool knobs live
-/// in sweep::SweepOptions).
-struct BehaviorSearchOptions {
-  /// Largest fault count to try; -1 means the config's u.
-  int max_f = -1;
-  /// Fork each execution from a checkpointed post-round-0 state instead
-  /// of replaying round 0 (see docs/SEARCH.md §4). Verdict-neutral.
-  bool checkpointing = true;
-  /// Walk only the canonical representative of each receiver-relabeling
-  /// orbit, skipping non-minimal digit prefixes and weighting each
-  /// representative by its orbit size (docs/SEARCH.md §5). The verdict,
-  /// the first-hit ordinal, and — on clean sweeps — the orbit-weighted
-  /// execution count (`SweepStats::weighted_executions`, which reconciles
-  /// to `behavior_search_space`) are identical to the unreduced walk;
-  /// only `executions` shrinks, to the representatives actually run.
-  bool symmetry = true;
-  /// Walk only one faulty subset per conjugacy class under sender-fixing
-  /// node permutations, weighting its results by the class size
-  /// (docs/SEARCH.md §6). Composes with `symmetry`: a representative's
-  /// weight is its receiver-orbit size times its subset class size.
-  /// Verdict, first-hit ordinal and weighted counts stay pinned to the
-  /// unquotiented walk; the skipped segments never execute at all.
-  bool subset_symmetry = true;
-};
-
-/// Parallel form: the same sweep, sharded deterministically over the
-/// high-order base-4 digits of each subset's behaviour index and run on a
-/// work-stealing pool (see src/sweep/). Behaviour digits are big-endian
-/// (slot 0 = most-significant digit), so ordinals sharing leading digits
-/// share their round-0 assignment. With `options.checkpointing` (the
-/// default) the walk exploits exactly that: each shard forks every
-/// execution from a checkpointed post-round-0 state instead of replaying
-/// round 0, which is observationally identical
-/// (tests/test_fork_engine.cpp) but ~halves the simulated rounds and
-/// skips per-execution process construction. With `options.symmetry`
-/// (the default) the walk visits one representative per
-/// receiver-relabeling orbit. For every `sweep_options.jobs` value — and
-/// for either flag — it returns the same first-violation-or-nullopt
-/// verdict, the same first-hit ordinal, and the same canonical counts
-/// (`stats->executions` for a fixed symmetry setting,
-/// `stats->weighted_executions` across them); `stats` (optional)
+///
+/// The sweep is sharded deterministically over the high-order base-4
+/// digits of each subset's behaviour index and run on a work-stealing
+/// pool (see src/sweep/). Behaviour digits are big-endian (slot 0 =
+/// most-significant digit), so ordinals sharing leading digits share
+/// their round-0 assignment: each shard forks every execution from a
+/// checkpointed post-round-0 state instead of replaying round 0, which is
+/// observationally identical to a scratch execution
+/// (tests/test_fork_engine.cpp). For every `sweep_options.jobs` value —
+/// and for every reduction level — it returns the same
+/// first-violation-or-nullopt verdict, the same first-hit ordinal, and
+/// the same canonical counts (`stats->executions` for a fixed level,
+/// `stats->weighted_executions` across levels); `stats` (optional)
 /// additionally receives per-shard counters for scaling reports.
 [[nodiscard]] std::optional<Violation> exhaustive_behavior_search(
-    const Config& config, const BehaviorSearchOptions& options,
-    const sweep::SweepOptions& sweep_options,
+    const Config& config, const BehaviorSearchOptions& options = {},
+    const sweep::SweepOptions& sweep_options = {},
     sweep::SweepStats* stats = nullptr);
 
-/// Back-compat form of the above: max_f + checkpointing as bare
-/// parameters, symmetry at its default (on).
-[[nodiscard]] std::optional<Violation> exhaustive_behavior_search(
-    const Config& config, int max_f, const sweep::SweepOptions& options,
-    sweep::SweepStats* stats = nullptr, bool checkpointing = true);
-
-/// Number of protocol executions the unreduced search performs — the
-/// full 4^k ordinal space (for reporting and reconciliation).
+/// Number of protocol executions a clean kNone walk performs — the full
+/// 4^k ordinal space (for reporting and reconciliation).
 [[nodiscard]] std::uint64_t behavior_search_space(const Config& config,
                                                   int max_f = -1);
 
-/// Number of canonical orbit representatives the symmetry-reduced walk
-/// executes on a clean sweep: sum over segments of 4^fixed *
+/// Number of canonical orbit representatives a clean kOrbits walk
+/// executes: sum over segments of 4^fixed *
 /// multichoose(4^rows, free receivers). Always <= behavior_search_space.
 [[nodiscard]] std::uint64_t behavior_search_canonical_space(
     const Config& config, int max_f = -1);
 
-/// Number of representatives the fully quotiented walk (receiver orbits
-/// plus subset conjugacy, both defaults) executes on a clean sweep: the
+/// Number of representatives a clean kQuotient walk executes: the
 /// canonical count summed over representative subsets only. Always <=
 /// behavior_search_canonical_space.
 [[nodiscard]] std::uint64_t behavior_search_quotient_space(
@@ -120,15 +106,14 @@ struct BehaviorSearchOptions {
 /// Builds a fresh (untouched) frontier for the behaviour search: one
 /// record per sweep shard, cursors at their shard heads. `seed` is
 /// stored in the frontier so every resuming process derives identical
-/// per-shard RNG streams. With `subset_symmetry` (the default) the
-/// frontier is quotiented — it carries one class record per conjugacy
-/// class and serializes as `da-frontier v2`; pass false for the full v1
-/// plan. The quotient choice is baked into the frontier (derived from
-/// its class records on resume), so v1 files keep resuming unquotiented.
-[[nodiscard]] Frontier init_behavior_frontier(const Config& config,
-                                              int max_f = -1,
-                                              std::uint64_t seed = 1,
-                                              bool subset_symmetry = true);
+/// per-shard RNG streams. At kQuotient (the default) the frontier
+/// carries one class record per conjugacy class and serializes as
+/// `da-frontier v2`; any other level writes the full v1 plan. The level
+/// is baked into the file: a run derives it from the class records, so
+/// v2 files resume at kQuotient and v1 files at kOrbits.
+[[nodiscard]] Frontier init_behavior_frontier(
+    const Config& config, int max_f = -1, std::uint64_t seed = 1,
+    Reduction reduction = Reduction::kQuotient);
 
 struct FrontierRunOptions {
   int jobs = 1;
@@ -136,12 +121,6 @@ struct FrontierRunOptions {
   /// kill-and-resume unit); -1 runs to settlement. Suspension is
   /// cooperative: in-flight shards park their cursors in the frontier.
   int max_shards = -1;
-  bool checkpointing = true;
-  /// Receiver-relabeling reduction for this run. A run-time knob because
-  /// it changes which ordinals execute, never the shard plan. The subset
-  /// quotient is *not* a run option: it reshapes the plan, so it is baked
-  /// into the frontier at init time and derived from its class records.
-  bool symmetry = true;
   /// Invoked (serialized, from worker threads) with the updated frontier
   /// each time a shard settles — hook the atomic save_frontier here for
   /// crash-safe incremental checkpoints.

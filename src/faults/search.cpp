@@ -129,7 +129,6 @@ std::optional<Violation> search_violation(
   DA_EXPECTS(config.valid());
   const int max_f = options.max_f < 0 ? config.u : options.max_f;
   const auto family = standard_family(options.seed);
-  const DegradableAgreement protocol(config);
 
   // Flatten the serial scan order: sender-major, fault count ascending,
   // exhaustive subsets (lexicographic) before the random probes.
@@ -176,33 +175,15 @@ std::optional<Violation> search_violation(
     }
     sweep::Visit visit;
     visit.executions = 0;
-    if (!options.checkpointing || spec.f() == 0) {
-      // Scratch path: one full execution per adversary. With no faulty
-      // nodes every adversary is a no-op, so only "silent" runs.
-      for (const auto& factory : family) {
-        if (spec.f() == 0 && factory.name != "silent") continue;
-        auto adversary = factory.make(spec);
-        ++visit.executions;
-        const ConditionReport report =
-            protocol.run_and_check(spec, adversary.get());
-        if (!report.satisfied) {
-          candidates[shard] = Violation{spec, factory.name, report};
-          visit.hit = true;
-          break;
-        }
-      }
-      visit.weight = visit.executions;  // no orbit reduction here
-      return visit;
-    }
 
-    // Checkpointed path: the adversary only acts at dispatch time, and no
-    // family adversary fabricates, so every execution of this (sender,
-    // subset) scenario shares an adversary-independent prefix — process
-    // construction plus, when the sender is honest, all of round 0 (the
-    // only round-0 traffic is the honest sender's broadcast). Snapshot
-    // that prefix once and fork the rest per family member, which is
-    // byte-equivalent to the scratch path (docs/SEARCH.md, "Checkpoint
-    // engine"; tests/test_fork_engine.cpp holds it to that).
+    // The adversary only acts at dispatch time, and no family adversary
+    // fabricates, so every execution of this (sender, subset) scenario
+    // shares an adversary-independent prefix — process construction plus,
+    // when the sender is honest, all of round 0 (the only round-0 traffic
+    // is the honest sender's broadcast). Snapshot that prefix once and
+    // fork the rest per family member, which is byte-equivalent to a
+    // scratch execution (docs/SEARCH.md §4; tests/test_fork_engine.cpp
+    // holds it to that).
     static const obs::Counter byz_executions("protocol.byz.executions");
     static const obs::Counter byz_messages("protocol.byz.messages_sent");
     spec.validate();
@@ -227,6 +208,9 @@ std::optional<Violation> search_violation(
     sim::RunResult result;
     bool first = true;
     for (const auto& factory : family) {
+      // With no faulty nodes every adversary is a no-op, so only "silent"
+      // runs.
+      if (spec.f() == 0 && factory.name != "silent") continue;
       auto adversary = factory.make(spec);
       engine.set_adversary(adversary.get());
       if (!first) {
@@ -261,11 +245,6 @@ std::optional<Violation> search_violation(
   if (stats != nullptr) *stats = result.stats;
   if (!result.first_hit_shard.has_value()) return std::nullopt;
   return candidates[*result.first_hit_shard];
-}
-
-std::optional<Violation> search_violation(const Config& config,
-                                          const SearchOptions& options) {
-  return search_violation(config, options, sweep::SweepOptions{});
 }
 
 }  // namespace da::faults

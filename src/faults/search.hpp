@@ -48,31 +48,25 @@ struct SearchOptions {
   /// Extra random (subset, adversary) probes per fault count, on top of
   /// the exhaustive subset sweep.
   int random_trials = 0;
-  /// Share one checkpointed execution prefix per (sender, subset) across
-  /// the whole adversary family instead of executing each adversary from
-  /// scratch (see docs/SEARCH.md, "Checkpoint engine"). The verdict and
-  /// the canonical execution count are identical either way.
-  bool checkpointing = true;
 };
 
 /// Runs BYZ(m,m) under every (sender, faulty subset, adversary) combination
 /// and checks D.1-D.4. Returns the first violation found, or nullopt if the
 /// protocol survives everything — which is the expected outcome exactly
 /// when config.feasible().
+///
+/// The search runs through the scenario-sweep engine (src/sweep/):
+/// scenarios are sharded deterministically in serial scan order (sender,
+/// then fault count, then subset lexicographic, then the random probes)
+/// and scanned by a work-stealing pool with early-exit cancellation. Each
+/// (sender, subset) scenario shares one checkpointed execution prefix
+/// across the whole adversary family (docs/SEARCH.md §4). The verdict and
+/// the canonical execution count in `stats->executions` are identical for
+/// every `sweep_options.jobs` value. Random probes derive their spec from
+/// mix64(seed, ordinal), so they too are thread-count independent.
 [[nodiscard]] std::optional<Violation> search_violation(
-    const Config& config, const SearchOptions& options = {});
-
-/// Parallel form: the same search run through the scenario-sweep engine
-/// (src/sweep/) — scenarios are sharded deterministically in serial scan
-/// order (sender, then fault count, then subset lexicographic, then the
-/// random probes) and scanned by a work-stealing pool with early-exit
-/// cancellation. The verdict and the canonical execution count in
-/// `stats->executions` are identical for every `sweep_options.jobs`
-/// value. Random probes derive their spec from mix64(seed, ordinal), so
-/// they too are thread-count independent.
-[[nodiscard]] std::optional<Violation> search_violation(
-    const Config& config, const SearchOptions& options,
-    const sweep::SweepOptions& sweep_options,
+    const Config& config, const SearchOptions& options = {},
+    const sweep::SweepOptions& sweep_options = {},
     sweep::SweepStats* stats = nullptr);
 
 /// Total number of protocol executions `search_violation` would perform

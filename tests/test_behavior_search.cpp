@@ -58,9 +58,9 @@ TEST(BehaviorSearch, ThreeNodeByzantineImpossible) {
 TEST(BehaviorSearch, RespectsMaxF) {
   const Config config{.n = 4, .m = 1, .u = 2};
   // Restricted to f <= 1 the 4-node system is fine (that is OM(1)).
-  EXPECT_FALSE(exhaustive_behavior_search(config, 1).has_value());
+  EXPECT_FALSE(exhaustive_behavior_search(config, {.max_f = 1}).has_value());
   // At f = 2 it breaks.
-  EXPECT_TRUE(exhaustive_behavior_search(config, 2).has_value());
+  EXPECT_TRUE(exhaustive_behavior_search(config, {.max_f = 2}).has_value());
 }
 
 TEST(BehaviorSearch, DepthThreeRejected) {

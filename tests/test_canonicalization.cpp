@@ -573,16 +573,13 @@ struct SearchOutcome {
   sweep::SweepStats stats;
 };
 
-SearchOutcome run_search(const Config& config, bool symmetry,
-                         bool subset_symmetry, int jobs) {
-  faults::BehaviorSearchOptions options;
-  options.symmetry = symmetry;
-  options.subset_symmetry = subset_symmetry;
+SearchOutcome run_search(const Config& config, faults::Reduction reduction,
+                         int jobs) {
   sweep::SweepOptions sweep_options;
   sweep_options.jobs = jobs;
   SearchOutcome out;
   const auto violation = faults::exhaustive_behavior_search(
-      config, options, sweep_options, &out.stats);
+      config, {.reduction = reduction}, sweep_options, &out.stats);
   out.adversary = violation.has_value() ? violation->adversary : "(none)";
   out.first_hit = first_hit_of(out.stats);
   return out;
@@ -599,11 +596,11 @@ void check_differential(const Config& config) {
   ASSERT_LE(quotient_space, canonical_space);
 
   const SearchOutcome full =
-      run_search(config, /*symmetry=*/false, /*subset_symmetry=*/false, 1);
+      run_search(config, faults::Reduction::kNone, 1);
   const SearchOutcome canon =
-      run_search(config, /*symmetry=*/true, /*subset_symmetry=*/false, 1);
+      run_search(config, faults::Reduction::kOrbits, 1);
   const SearchOutcome quotient =
-      run_search(config, /*symmetry=*/true, /*subset_symmetry=*/true, 1);
+      run_search(config, faults::Reduction::kQuotient, 1);
 
   // The tentpole equivalence, one rung at a time: verdict and first-hit
   // ordinal survive the receiver-relabeling reduction and the composed
@@ -635,14 +632,14 @@ void check_differential(const Config& config) {
   // the verdict, the hit, or either execution counter — for either
   // reduced walk.
   const SearchOutcome canon_wide =
-      run_search(config, /*symmetry=*/true, /*subset_symmetry=*/false, 3);
+      run_search(config, faults::Reduction::kOrbits, 3);
   EXPECT_EQ(canon.adversary, canon_wide.adversary);
   EXPECT_EQ(canon.first_hit, canon_wide.first_hit);
   EXPECT_EQ(canon.stats.executions, canon_wide.stats.executions);
   EXPECT_EQ(canon.stats.weighted_executions,
             canon_wide.stats.weighted_executions);
   const SearchOutcome quotient_wide =
-      run_search(config, /*symmetry=*/true, /*subset_symmetry=*/true, 3);
+      run_search(config, faults::Reduction::kQuotient, 3);
   EXPECT_EQ(quotient.adversary, quotient_wide.adversary);
   EXPECT_EQ(quotient.first_hit, quotient_wide.first_hit);
   EXPECT_EQ(quotient.stats.executions, quotient_wide.stats.executions);

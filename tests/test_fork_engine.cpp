@@ -334,77 +334,137 @@ TEST(ForkEngine, SnapshotAtEveryRoundBoundary) {
 
 // ------------------------------------- search equivalence and invariance
 
+/// A search outcome in comparable form: the winning adversary at its
+/// scenario, or "(none)", plus the canonical execution count.
+struct ScanOutcome {
+  std::string hit = "(none)";
+  std::uint64_t executions = 0;
+};
+
+std::string hit_of(const std::optional<faults::Violation>& violation) {
+  return violation.has_value()
+             ? violation->adversary + "@" + violation->spec.to_string()
+             : "(none)";
+}
+
+/// Scratch reference for the behaviour search: every ordinal of the
+/// unreduced space executed from scratch through `behavior_at`, in
+/// ordinal order, stopping at the first violation.
+ScanOutcome scratch_behavior_scan(const Config& config) {
+  ScanOutcome out;
+  const std::uint64_t space = faults::behavior_search_space(config);
+  for (std::uint64_t ordinal = 0; ordinal < space; ++ordinal) {
+    ++out.executions;
+    const auto violation = faults::behavior_at(config, -1, ordinal);
+    if (violation.has_value()) {
+      out.hit = hit_of(violation);
+      break;
+    }
+  }
+  return out;
+}
+
+/// Scratch reference for the family search with sender 0: the serial
+/// scan order of `search_violation` (fault count ascending, subsets
+/// lexicographic, then that fault count's random probes, each probe's
+/// spec drawn from its scan ordinal), every adversary executed from
+/// scratch by DegradableAgreement::run_and_check. With no faulty nodes
+/// only "silent" runs.
+ScanOutcome scratch_family_scan(const Config& config,
+                                const faults::SearchOptions& options) {
+  std::vector<ScenarioSpec> specs;
+  for (int f = 0; f <= config.u; ++f) {
+    faults::for_each_subset(
+        config.n, f, [&](const std::vector<NodeId>& faulty) {
+          ScenarioSpec spec;
+          spec.config = config;
+          spec.sender_value = Value::of(7);
+          spec.faulty = faulty;
+          specs.push_back(spec);
+        });
+    for (int t = 0; t < options.random_trials; ++t) {
+      Rng rng(mix64(mix64(options.seed, 0xda), specs.size()));
+      ScenarioSpec spec;
+      spec.config = config;
+      spec.sender_value = Value::of(rng.range(1, 100));
+      const std::vector<int> subset = rng.subset(config.n, f);
+      spec.faulty.assign(subset.begin(), subset.end());
+      specs.push_back(spec);
+    }
+  }
+  const DegradableAgreement protocol(config);
+  const auto family = faults::standard_family(options.seed);
+  ScanOutcome out;
+  for (const ScenarioSpec& spec : specs) {
+    for (const auto& factory : family) {
+      if (spec.f() == 0 && factory.name != "silent") continue;
+      ++out.executions;
+      const auto adversary = factory.make(spec);
+      const ConditionReport report =
+          protocol.run_and_check(spec, adversary.get());
+      if (!report.satisfied) {
+        out.hit = hit_of(faults::Violation{spec, factory.name, report});
+        return out;
+      }
+    }
+  }
+  return out;
+}
+
 TEST(ForkEngine, BehaviorSearchCheckpointingEquivalence) {
-  // One config with a violation, one exhaustively clean; for each, every
-  // (jobs, checkpointing) combination must report the identical verdict
-  // and the identical canonical execution count.
+  // The forked behaviour walk against the scratch reference, on one
+  // config with a violation and one exhaustively clean. At every jobs
+  // value and every reduction level the verdict and winning behaviour
+  // must match; the unreduced walk must execute exactly the ordinals the
+  // scratch scan did, and a clean reduced walk must weight its
+  // representatives back to that count.
   for (const Config& config :
        {Config{.n = 4, .m = 1, .u = 2}, Config{.n = 4, .m = 1, .u = 1}}) {
-    std::optional<std::string> expected_name;
-    std::optional<std::uint64_t> expected_executions;
-    bool first = true;
+    const ScanOutcome reference = scratch_behavior_scan(config);
     for (const int jobs : {1, 3}) {
-      for (const bool checkpointing : {true, false}) {
+      for (const faults::Reduction reduction :
+           {faults::Reduction::kNone, faults::Reduction::kOrbits,
+            faults::Reduction::kQuotient}) {
+        SCOPED_TRACE(config.to_string() + " jobs=" + std::to_string(jobs) +
+                     " reduction=" +
+                     std::to_string(static_cast<int>(reduction)));
         sweep::SweepOptions options;
         options.jobs = jobs;
         sweep::SweepStats stats;
         const auto violation = faults::exhaustive_behavior_search(
-            config, -1, options, &stats, checkpointing);
-        const std::string name =
-            violation.has_value() ? violation->adversary : "(none)";
-        if (first) {
-          expected_name = name;
-          expected_executions = stats.executions;
-          first = false;
-          continue;
+            config, {.reduction = reduction}, options, &stats);
+        EXPECT_EQ(reference.hit, hit_of(violation));
+        if (reduction == faults::Reduction::kNone) {
+          EXPECT_EQ(reference.executions, stats.executions);
         }
-        EXPECT_EQ(*expected_name, name)
-            << config.to_string() << " jobs=" << jobs
-            << " checkpointing=" << checkpointing;
-        EXPECT_EQ(*expected_executions, stats.executions)
-            << config.to_string() << " jobs=" << jobs
-            << " checkpointing=" << checkpointing;
+        if (!violation.has_value()) {
+          EXPECT_EQ(reference.executions, stats.weighted_executions);
+        }
       }
     }
   }
 }
 
 TEST(ForkEngine, SearchViolationCheckpointingEquivalence) {
-  // The family search over the paper's tight five-node config (clean) and
-  // the one-node-short Figure 2 config (violating): checkpointing must not
-  // change the verdict, the winning adversary or the execution count.
+  // The forked family search against the scratch reference, over the
+  // paper's tight five-node config (clean) and the one-node-short
+  // Figure 2 config (violating): every jobs value must report the
+  // reference's verdict, winning adversary and execution count.
   for (const Config& config :
        {Config{.n = 5, .m = 1, .u = 2}, Config{.n = 4, .m = 1, .u = 2}}) {
-    std::optional<std::string> expected;
-    std::optional<std::uint64_t> expected_executions;
-    bool first = true;
+    faults::SearchOptions options;
+    options.random_trials = 2;
+    const ScanOutcome reference = scratch_family_scan(config, options);
     for (const int jobs : {1, 3}) {
-      for (const bool checkpointing : {true, false}) {
-        faults::SearchOptions options;
-        options.random_trials = 2;
-        options.checkpointing = checkpointing;
-        sweep::SweepOptions sweep_options;
-        sweep_options.jobs = jobs;
-        sweep::SweepStats stats;
-        const auto violation =
-            faults::search_violation(config, options, sweep_options, &stats);
-        const std::string summary =
-            violation.has_value()
-                ? violation->adversary + "@" + violation->spec.to_string()
-                : "(none)";
-        if (first) {
-          expected = summary;
-          expected_executions = stats.executions;
-          first = false;
-          continue;
-        }
-        EXPECT_EQ(*expected, summary)
-            << config.to_string() << " jobs=" << jobs
-            << " checkpointing=" << checkpointing;
-        EXPECT_EQ(*expected_executions, stats.executions)
-            << config.to_string() << " jobs=" << jobs
-            << " checkpointing=" << checkpointing;
-      }
+      sweep::SweepOptions sweep_options;
+      sweep_options.jobs = jobs;
+      sweep::SweepStats stats;
+      const auto violation =
+          faults::search_violation(config, options, sweep_options, &stats);
+      EXPECT_EQ(reference.hit, hit_of(violation))
+          << config.to_string() << " jobs=" << jobs;
+      EXPECT_EQ(reference.executions, stats.executions)
+          << config.to_string() << " jobs=" << jobs;
     }
   }
 }
@@ -422,8 +482,7 @@ TEST(ForkEngine, CheckpointCountersVisible) {
 
   // A clean config scans its whole space, so the walk forks throughout.
   const Config config{.n = 4, .m = 1, .u = 1};
-  const auto violation = faults::exhaustive_behavior_search(
-      config, -1, sweep::SweepOptions{}, nullptr, /*checkpointing=*/true);
+  const auto violation = faults::exhaustive_behavior_search(config);
   EXPECT_FALSE(violation.has_value());
 
   EXPECT_GT(registry.counter_value("search.checkpoints"), checkpoints0);

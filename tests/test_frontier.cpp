@@ -7,6 +7,7 @@
 
 #include "faults/frontier.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -64,7 +65,7 @@ TEST(Frontier, SerializeParseRoundTrip) {
   // covers the (larger, gapless) shard set.
   const faults::Frontier plain =
       faults::init_behavior_frontier(kViolating, -1, 1,
-                                     /*subset_symmetry=*/false);
+                                     faults::Reduction::kOrbits);
   EXPECT_TRUE(plain.classes.empty());
   EXPECT_TRUE(plain.covers_space());
   EXPECT_GT(plain.shards.size(), fresh.shards.size());
@@ -318,40 +319,39 @@ TEST(FrontierRun, RejectsForeignShardPlans) {
 }
 
 TEST(FrontierRun, UnreducedRunFindsTheSameHit) {
-  // Three rungs of the reduction ladder: fully quotiented (v2 frontier,
-  // receiver orbits on), subset quotient only (v2, receiver orbits off),
-  // and completely unreduced (v1 frontier, both off). All three must
-  // settle on the same hit ordinal and the same rematerialized adversary.
-  faults::Frontier quotient = faults::init_behavior_frontier(kViolating);
-  faults::Frontier subset_only = faults::init_behavior_frontier(kViolating);
-  faults::Frontier full = faults::init_behavior_frontier(
-      kViolating, -1, 1, /*subset_symmetry=*/false);
-  faults::FrontierRunOptions options;
-  const faults::FrontierRun quotient_run =
-      faults::run_behavior_frontier(quotient, options);
-  options.symmetry = false;
-  const faults::FrontierRun subset_run =
-      faults::run_behavior_frontier(subset_only, options);
-  const faults::FrontierRun full_run =
-      faults::run_behavior_frontier(full, options);
-  ASSERT_TRUE(quotient_run.error.empty()) << quotient_run.error;
-  ASSERT_TRUE(subset_run.error.empty()) << subset_run.error;
-  ASSERT_TRUE(full_run.error.empty()) << full_run.error;
-  ASSERT_TRUE(quotient_run.settled && subset_run.settled && full_run.settled);
-  EXPECT_EQ(quotient.best_hit(), full.best_hit());
-  EXPECT_EQ(subset_only.best_hit(), full.best_hit());
-  ASSERT_TRUE(quotient_run.violation.has_value());
-  ASSERT_TRUE(subset_run.violation.has_value());
-  ASSERT_TRUE(full_run.violation.has_value());
-  EXPECT_EQ(quotient_run.violation->adversary, full_run.violation->adversary);
-  EXPECT_EQ(subset_run.violation->adversary, full_run.violation->adversary);
+  // Both frontier formats against the one-shot unreduced search: a v2
+  // frontier (resumed at kQuotient) and a v1 frontier (resumed at
+  // kOrbits) must settle on the kNone walk's hit ordinal and
+  // rematerialize the same adversary.
+  sweep::SweepStats stats;
+  const auto reference = faults::exhaustive_behavior_search(
+      kViolating, {.reduction = faults::Reduction::kNone}, {}, &stats);
+  ASSERT_TRUE(reference.has_value());
+  std::uint64_t reference_hit = sweep::kNoHit;
+  for (const sweep::ShardStats& shard : stats.per_shard) {
+    reference_hit = std::min(reference_hit, shard.first_hit);
+  }
+  ASSERT_EQ(reference_hit, 129u);
+
+  for (const faults::Reduction level :
+       {faults::Reduction::kQuotient, faults::Reduction::kOrbits}) {
+    faults::Frontier frontier =
+        faults::init_behavior_frontier(kViolating, -1, 1, level);
+    EXPECT_EQ(frontier.classes.empty(), level != faults::Reduction::kQuotient);
+    const faults::FrontierRun run = faults::run_behavior_frontier(frontier);
+    ASSERT_TRUE(run.error.empty()) << run.error;
+    ASSERT_TRUE(run.settled);
+    EXPECT_EQ(frontier.best_hit(), reference_hit);
+    ASSERT_TRUE(run.violation.has_value());
+    EXPECT_EQ(run.violation->adversary, reference->adversary);
+  }
 }
 
 TEST(FrontierRun, QuotientAndPlainFrontiersResumeTheirOwnPlans) {
   // A v1 file keeps resuming against the unquotiented plan; a v2 file
   // against the quotiented one. Tampered class tables are rejected.
   faults::Frontier plain = faults::init_behavior_frontier(
-      kClean, -1, 1, /*subset_symmetry=*/false);
+      kClean, -1, 1, faults::Reduction::kOrbits);
   const faults::FrontierRun plain_run = faults::run_behavior_frontier(plain);
   ASSERT_TRUE(plain_run.error.empty()) << plain_run.error;
   EXPECT_TRUE(plain_run.settled);

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "faults/behavior_search.hpp"
@@ -167,22 +168,24 @@ TEST(RunSweep, VisitsEveryOrdinalWhenNothingHits) {
 }
 
 TEST(RunSweep, FirstHitIsSmallestOrdinalNotFastestWallClock) {
-  // Hits at ordinals 400 (cheap shard, found quickly) and 37 (slow
-  // shard). The sweep must settle on 37 regardless of timing.
+  // Hits at ordinals 400 and 37. Ordinal 37 waits until ordinal 400 has
+  // reported its hit, so the later hit lands first in wall-clock order on
+  // any machine; the sweep must still settle on 37. Another worker is
+  // free to take 400's shard: nothing has hit yet, so it is never
+  // cancelled.
   const ShardPlan plan = ShardPlan::even(512, 32);
   SweepOptions options;
   options.jobs = 4;
+  std::atomic<bool> late_hit_reported{false};
   const auto result = run_sweep(
       plan, options, [&](std::uint64_t o, std::size_t, Rng&) -> Visit {
+        if (o == 400) late_hit_reported.store(true);
         if (o == 37) {
-          // Make the early shard slow so the later hit lands first in
-          // wall-clock order on multi-core machines.
-          for (volatile int spin = 0; spin < 200000; spin = spin + 1) {
-          }
-          return {.hit = true};
+          while (!late_hit_reported.load()) std::this_thread::yield();
         }
-        return {.hit = o == 400};
+        return {.hit = o == 37 || o == 400};
       });
+  EXPECT_TRUE(late_hit_reported.load());
   ASSERT_TRUE(result.first_hit.has_value());
   EXPECT_EQ(*result.first_hit, 37u);
   EXPECT_EQ(plan.shard(*result.first_hit_shard).begin, 32u);
@@ -322,7 +325,7 @@ TEST(SweepDeterminism, BehaviourSearchVerdictAndCountMatchAcrossJobs) {
     options.jobs = jobs;
     SweepStats stats;
     const auto violation =
-        faults::exhaustive_behavior_search(broken, -1, options, &stats);
+        faults::exhaustive_behavior_search(broken, {}, options, &stats);
     ASSERT_TRUE(violation.has_value()) << jobs;
     const std::string hit =
         violation->spec.to_string() + " / " + violation->adversary;
@@ -340,7 +343,7 @@ TEST(SweepDeterminism, BehaviourSearchVerdictAndCountMatchAcrossJobs) {
     options.jobs = jobs;
     SweepStats stats;
     EXPECT_FALSE(
-        faults::exhaustive_behavior_search(solid, -1, options, &stats)
+        faults::exhaustive_behavior_search(solid, {}, options, &stats)
             .has_value())
         << jobs;
     // No violation: the walk executes exactly the canonical orbit
@@ -403,7 +406,7 @@ TEST(SweepDeterminism, ParallelBehaviourSearchAgreesWithSerialWrapper) {
   SweepOptions options;
   options.jobs = 4;
   const auto parallel =
-      faults::exhaustive_behavior_search(config, -1, options);
+      faults::exhaustive_behavior_search(config, {}, options);
   ASSERT_TRUE(serial.has_value());
   ASSERT_TRUE(parallel.has_value());
   EXPECT_EQ(serial->spec.to_string(), parallel->spec.to_string());
