@@ -1,7 +1,9 @@
 // The agreement service (src/service/): arrival-model statistics, the
 // admission/backpressure machinery, slot recycling, and the determinism
 // contract — fixed (seed, arrival spec, cap, policy) must yield
-// byte-identical per-job artifacts for every `jobs` value.
+// byte-identical per-job artifacts for every `jobs` value — and the golden
+// digests of tests/corpus/service_digests.txt, which pin those artifacts
+// across revisions of the engine underneath.
 
 #include "service/service.hpp"
 
@@ -9,8 +11,13 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <limits>
+#include <optional>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/byz.hpp"
@@ -18,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "service/admission.hpp"
 #include "service/arrivals.hpp"
+#include "service/frontend.hpp"
 
 namespace da::service {
 namespace {
@@ -555,6 +563,98 @@ TEST(Service, DeadlineMissedIsADistinctDisposition) {
   const ServiceResult fleet = run_service(config);
   EXPECT_EQ(result.digest(), fleet.digest());
   EXPECT_EQ(result.artifact(), fleet.artifact());
+}
+
+// ------------------------------------------------------ golden digests --
+
+/// The default-mix configuration the golden corpus pins: a 48-slot cap
+/// with a bounded shed-oldest queue, so completions, admission order,
+/// shedding and every protocol shape of `default_mix()` all feed the
+/// digest.
+ServiceConfig golden_config(ArrivalKind kind, std::uint64_t seed, int jobs) {
+  ServiceConfig config;
+  switch (kind) {
+    case ArrivalKind::kPoisson:
+      config.arrivals = ArrivalSpec::poisson(20.0);
+      break;
+    case ArrivalKind::kBursty:
+      config.arrivals = ArrivalSpec::bursty(20.0);
+      break;
+    case ArrivalKind::kPareto:
+      config.arrivals = ArrivalSpec::pareto(20.0);
+      break;
+  }
+  config.offered = 300;
+  config.cap = 48;
+  config.queue_cap = 64;
+  config.policy = OverloadPolicy::kShedOldest;
+  config.seed = seed;
+  config.jobs = jobs;
+  return config;
+}
+
+std::string hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(ServiceGolden, DigestsMatchCorpus) {
+  // Run-against-run comparisons cannot see a deterministic drift in the
+  // decisions; these digests were recorded once and must never move
+  // unless a change means to alter service outcomes. Lines:
+  //   service <arrival-kind> <seed> <jobs> <ServiceResult::digest() hex>
+  //   frontend <shards> <seed> <jobs> <FrontendResult::digest() hex>
+  std::ifstream in(std::string(DA_TEST_CORPUS_DIR) + "/service_digests.txt");
+  ASSERT_TRUE(in.is_open()) << "missing tests/corpus/service_digests.txt";
+  std::string line;
+  int services = 0;
+  int frontends = 0;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string what;
+    ASSERT_TRUE(fields >> what) << "bad corpus line: " << line;
+    if (what == "service") {
+      std::string kind_name;
+      std::uint64_t seed = 0;
+      int jobs = 0;
+      std::string expected;
+      ASSERT_TRUE(fields >> kind_name >> seed >> jobs >> expected)
+          << "bad corpus line: " << line;
+      const std::optional<ArrivalKind> kind = parse_arrival_kind(kind_name);
+      ASSERT_TRUE(kind.has_value()) << "bad arrival kind: " << line;
+      const ServiceResult result =
+          run_service(golden_config(*kind, seed, jobs));
+      EXPECT_EQ(hex16(result.digest()), expected)
+          << "service " << kind_name << " " << seed << " " << jobs;
+      // Both dispositions feed the digest.
+      EXPECT_GT(result.completed, 100u) << line;
+      EXPECT_GT(result.shed, 0u) << line;
+      ++services;
+    } else if (what == "frontend") {
+      int shards = 0;
+      std::uint64_t seed = 0;
+      int jobs = 0;
+      std::string expected;
+      ASSERT_TRUE(fields >> shards >> seed >> jobs >> expected)
+          << "bad corpus line: " << line;
+      FrontendConfig config;
+      config.service = golden_config(ArrivalKind::kPoisson, seed, jobs);
+      config.service.arrivals = ArrivalSpec::poisson(40.0);
+      config.shards = shards;
+      const FrontendResult result = run_frontend(config);
+      EXPECT_EQ(hex16(result.digest()), expected)
+          << "frontend " << shards << " " << seed << " " << jobs;
+      EXPECT_GT(result.completed, 100u) << line;
+      ++frontends;
+    } else {
+      ADD_FAILURE() << "bad corpus line: " << line;
+    }
+  }
+  EXPECT_GE(services, 12) << "service_digests.txt corpus is unexpectedly small";
+  EXPECT_GE(frontends, 1) << "service_digests.txt has no front-end digest";
 }
 
 #ifndef DA_METRICS_DISABLED
