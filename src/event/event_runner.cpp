@@ -80,7 +80,8 @@ EventRunResult EventRunner::run() {
   const obs::ScopedTimer run_timer(run_ms);
   executions.add();
 
-  const sim::NodeIndex index(processes_);  // asserts ids unique
+  // Asserts ids unique and every faulty id a process id.
+  const sim::NodeIndex index(processes_, options_.faulty);
 
   EventRunResult result;
   result.base.rounds = rounds;
@@ -117,11 +118,11 @@ EventRunResult EventRunner::run() {
   // Round r+1 sends, produced by on_round(r) and held until the send event.
   std::vector<std::vector<sim::Message>> pending_outbox(n);
 
-  const auto dispatch = [&](std::vector<sim::Message>&& outbox,
+  const auto dispatch = [&](std::vector<sim::Message>& outbox,
                             std::size_t from_index, int round, double now,
                             bool fabricated) {
     const NodeId from = processes_[from_index]->id();
-    const bool faulty = sim::is_faulty(options_, from);
+    const bool faulty = index.faulty(from_index);
     for (sim::Message& msg : outbox) {
       DA_EXPECTS(msg.from == from);
       msg.round = round;
@@ -165,15 +166,15 @@ EventRunResult EventRunner::run() {
     switch (event.kind) {
       case Kind::kSend: {
         sim::Process& proc = *processes_[event.node_index];
-        std::vector<sim::Message> outbox =
-            event.round == 0 ? proc.start()
-                             : std::move(pending_outbox[event.node_index]);
-        pending_outbox[event.node_index].clear();
-        dispatch(std::move(outbox), event.node_index, event.round, event.time,
+        std::vector<sim::Message>& outbox = pending_outbox[event.node_index];
+        if (event.round == 0) outbox = proc.start();
+        dispatch(outbox, event.node_index, event.round, event.time,
                  /*fabricated=*/false);
-        if (sim::is_faulty(options_, proc.id())) {
-          dispatch(options_.adversary->fabricate(proc.id(), event.round),
-                   event.node_index, event.round, event.time,
+        outbox.clear();  // keep capacity for the next on_round
+        if (index.faulty(event.node_index)) {
+          std::vector<sim::Message> fabricated =
+              options_.adversary->fabricate(proc.id(), event.round);
+          dispatch(fabricated, event.node_index, event.round, event.time,
                    /*fabricated=*/true);
         }
         break;
@@ -207,10 +208,12 @@ EventRunResult EventRunner::run() {
         if (options_.spans != nullptr) {
           options_.spans->note_resolve(event.round, 1);
         }
-        std::vector<sim::Message> next = proc.on_round(event.round, box);
-        if (event.round + 1 < rounds) {
-          pending_outbox[event.node_index] = std::move(next);
-        } else {
+        // Round r+1 sends collect into the held outbox, emptied by the
+        // round-r send; final-round sends are discarded.
+        std::vector<sim::Message>& next = pending_outbox[event.node_index];
+        proc.on_round(event.round, box, next);
+        if (event.round + 1 == rounds) {
+          next.clear();
           result.completion_time =
               std::max(result.completion_time, event.time);
         }

@@ -59,10 +59,9 @@ bool SmProcess::valid_message(int round, const sim::Message& msg) const {
                                          static_cast<std::uint64_t>(msg.aux));
 }
 
-std::vector<sim::Message> SmProcess::on_round(
-    int round, const std::vector<sim::Message>& inbox) {
-  std::vector<sim::Message> out;
-  if (params_.self == params_.sender) return out;
+void SmProcess::on_round(int round, const std::vector<sim::Message>& inbox,
+                         std::vector<sim::Message>& out) {
+  if (params_.self == params_.sender) return;
   for (const sim::Message& msg : inbox) {
     if (!valid_message(round, msg)) continue;
     if (!accepted_.insert(msg.value).second) continue;  // already known
@@ -81,7 +80,6 @@ std::vector<sim::Message> SmProcess::on_round(
                                  .aux = static_cast<std::int64_t>(tag)});
     }
   }
-  return out;
 }
 
 Value SmProcess::decide() const {

@@ -26,9 +26,9 @@ EigTree::EigTree(NodeId self, NodeId sender, std::vector<NodeId> nodes,
   DA_EXPECTS(is_participant(sender_));
   DA_EXPECTS(is_participant(self_));
   const int sender_rank = rank_of_[static_cast<std::size_t>(sender_)];
-  if (self_ != sender_) {
-    exclude_rank_ = rank_of_[static_cast<std::size_t>(self_)];
-  }
+  const int self_rank = rank_of_[static_cast<std::size_t>(self_)];
+  if (self_ != sender_) exclude_rank_ = self_rank;
+  self_bit_ = 1ULL << self_rank;
 
   layout_ = EigLayout::get(static_cast<int>(nodes_.size()), sender_rank,
                            depth_);
@@ -57,6 +57,29 @@ std::uint32_t EigTree::ordinal_of(const Path& path) const {
   return ord;
 }
 
+std::uint32_t EigTree::admit(const Path& path) const {
+  const std::size_t len = path.size();
+  // Every path starts at the sender, so the sender stores nothing.
+  if (self_ == sender_ || len == 0 ||
+      len > static_cast<std::size_t>(depth_) || path.front() != sender_) {
+    return kReject;
+  }
+  const EigLayout& layout = *layout_;
+  std::uint64_t mask = 1ULL << layout.sender_rank();
+  std::uint32_t ord = 0;
+  for (std::size_t i = 1; i < len; ++i) {
+    if (!is_participant(path[i])) return kReject;
+    const int rank = rank_of_[static_cast<std::size_t>(path[i])];
+    const std::uint64_t bit = 1ULL << rank;
+    if (((mask | self_bit_) & bit) != 0) return kReject;  // repeat or self
+    const int child = rank - std::popcount(mask & (bit - 1));
+    ord = layout.child_begin(ord, static_cast<int>(i) - 1) +
+          static_cast<std::uint32_t>(child);
+    mask |= bit;
+  }
+  return ord;
+}
+
 void EigTree::set(const Path& path, Value v) {
   const std::uint32_t ord = ordinal_of(path);
   DA_EXPECTS(present_[ord] == 0);  // first (and only) write per slot
@@ -65,8 +88,8 @@ void EigTree::set(const Path& path, Value v) {
   ++stored_;
 }
 
-bool EigTree::set_if_absent(const Path& path, Value v) {
-  const std::uint32_t ord = ordinal_of(path);
+bool EigTree::set_if_absent(std::uint32_t ord, Value v) {
+  DA_EXPECTS(ord < present_.size());
   if (present_[ord] != 0) return false;
   values_[ord] = v;
   present_[ord] = 1;

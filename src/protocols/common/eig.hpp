@@ -38,9 +38,10 @@ class Resolver {
 /// values live in one contiguous vector preinitialized to V_d, and a
 /// presence bitmap backs `has()` and the first-write contract. `set`,
 /// `get` and `has` require structurally admissible paths — rooted at the
-/// sender, within depth, pairwise-distinct participant hops — which every
-/// receiver validates upstream anyway (`EigProcess::valid_message`);
-/// malformed paths are contract violations here, not silent V_d reads.
+/// sender, within depth, pairwise-distinct participant hops — and treat
+/// malformed paths as contract violations, not silent V_d reads. The
+/// receive path instead screens untrusted paths with `admit()`, which
+/// validates and locates a path in one walk and stores by ordinal.
 ///
 /// `resolve` then computes the receiver's decision exactly as step 3 of
 /// BYZ(t,m): at an internal path sigma, the receiver's value vector is its
@@ -60,11 +61,23 @@ class EigTree {
   /// second write can only be a protocol bug and must not be masked.
   void set(const Path& path, Value v);
 
-  /// `has()` + `set()` fused into one arena probe: stores `v` and returns
-  /// true if the slot was empty, returns false (leaving the first-written
-  /// value) if it was already filled. The receive hot path uses this so
-  /// duplicate detection and the write share a single ordinal walk.
-  bool set_if_absent(const Path& path, Value v);
+  /// `admit()`'s rejection sentinel.
+  static constexpr std::uint32_t kReject = 0xffffffffu;
+
+  /// Receive-side admission of an untrusted path, in one walk over its
+  /// hops: returns the slot ordinal if the path is rooted at the sender,
+  /// within depth, made of pairwise-distinct participants and free of
+  /// this receiver (so the sender admits nothing), else `kReject`. An
+  /// admitted path's ordinal equals `ordinal_of(path)`.
+  [[nodiscard]] std::uint32_t admit(const Path& path) const;
+
+  /// Dense slot ordinal of an admissible path (contract-checked).
+  [[nodiscard]] std::uint32_t ordinal_of(const Path& path) const;
+
+  /// `has()` + `set()` on an ordinal from `admit()`: stores `v` and
+  /// returns true if the slot was empty, returns false (leaving the
+  /// first-written value) if it was already filled.
+  bool set_if_absent(std::uint32_t ordinal, Value v);
 
   /// Value at `path`; V_d if never set.
   [[nodiscard]] Value get(const Path& path) const;
@@ -87,9 +100,10 @@ class EigTree {
   /// The shared per-(n, sender, depth) arena layout (diagnostics/tests).
   [[nodiscard]] const EigLayout& layout() const { return *layout_; }
 
- private:
-  [[nodiscard]] std::uint32_t ordinal_of(const Path& path) const;
+  /// This receiver's bit in the layout's rank space (cf. `hop_mask`).
+  [[nodiscard]] std::uint64_t self_bit() const { return self_bit_; }
 
+ private:
   NodeId self_;
   NodeId sender_;
   std::vector<NodeId> nodes_;
@@ -97,6 +111,7 @@ class EigTree {
   /// Rank this receiver prunes at resolve time, or -1 when self == sender
   /// (the sender excludes nobody — it never relays through itself anyway).
   int exclude_rank_ = -1;
+  std::uint64_t self_bit_ = 0;  // this receiver's rank bit
   std::vector<std::int16_t> rank_of_;  // NodeId -> rank in nodes_, -1 unknown
   std::shared_ptr<const EigLayout> layout_;
   std::vector<Value> values_;          // arena, V_d where never set

@@ -33,57 +33,41 @@ std::vector<sim::Message> EigProcess::start() {
   return out;
 }
 
-bool EigProcess::valid_message(int round, const sim::Message& msg) const {
-  if (msg.to != params_.self) return false;
-  if (static_cast<int>(msg.path.size()) != round + 1) return false;
-  if (msg.path.front() != params_.sender) return false;
-  if (msg.path.back() != msg.from) return false;
-  if (!msg.path.distinct()) return false;
-  if (msg.path.contains(params_.self)) return false;
-  // Every relayer must be a participant.
-  for (NodeId hop : msg.path) {
-    if (!tree_.is_participant(hop)) return false;
-  }
-  return true;
-}
-
-std::vector<sim::Message> EigProcess::on_round(
-    int round, const std::vector<sim::Message>& inbox) {
-  // The final round (and the sender in every round) stores without
-  // relaying, so the fresh-path bookkeeping below is skipped entirely —
-  // the heaviest round of every execution allocates nothing here.
-  if (round + 1 >= params_.depth || params_.self == params_.sender) {
-    for (const sim::Message& msg : inbox) {
-      if (!valid_message(round, msg)) continue;
-      // Duplicate deliveries lose to the first write (set_if_absent).
-      tree_.set_if_absent(msg.path, msg.value);
-    }
-    return {};
-  }
-
-  std::vector<Path> fresh;
+void EigProcess::on_round(int round, const std::vector<sim::Message>& inbox,
+                          std::vector<sim::Message>& out) {
+  // The final round stores without relaying (as does the sender, which
+  // admits nothing).
+  const bool relay = round + 1 < params_.depth;
+  const std::size_t length = static_cast<std::size_t>(round) + 1;
+  const std::vector<NodeId>& nodes = tree_.nodes();
+  const EigLayout& layout = tree_.layout();
   for (const sim::Message& msg : inbox) {
-    if (!valid_message(round, msg)) continue;
-    if (!tree_.set_if_absent(msg.path, msg.value)) continue;  // duplicate
-    fresh.push_back(msg.path);
-  }
-
-  std::vector<sim::Message> out;
-  // Relay each value received this round with our id appended. Omitted
-  // incoming messages are not re-materialized: the downstream receiver
-  // observes our silence for that path as V_d, exactly as we did.
-  for (const Path& path : fresh) {
-    const Path extended = path.extended(params_.self);
-    for (NodeId to : tree_.nodes()) {
-      if (to == params_.self || extended.contains(to)) continue;
+    // Per-message checks; everything about the path itself — rooted at
+    // the sender, distinct participant hops, not through this receiver —
+    // is checked by admit() in the same walk that locates its slot.
+    if (msg.to != params_.self || msg.path.size() != length ||
+        msg.path.back() != msg.from) {
+      continue;
+    }
+    const std::uint32_t ord = tree_.admit(msg.path);
+    if (ord == EigTree::kReject) continue;
+    // Duplicate deliveries lose to the first write.
+    if (!tree_.set_if_absent(ord, msg.value) || !relay) continue;
+    // Relay the value just stored with our id appended, to every node not
+    // on the extended path (ascending id = ascending rank). Omitted
+    // incoming messages are not re-materialized: the downstream receiver
+    // observes our silence for that path as V_d, exactly as we did.
+    const Path extended = msg.path.extended(params_.self);
+    const std::uint64_t skip = layout.hop_mask(ord) | tree_.self_bit();
+    for (std::size_t k = 0; k < nodes.size(); ++k) {
+      if (((skip >> k) & 1u) != 0) continue;
       out.push_back(sim::Message{.from = params_.self,
-                                 .to = to,
+                                 .to = nodes[k],
                                  .round = round + 1,
                                  .path = extended,
-                                 .value = tree_.get(path)});
+                                 .value = msg.value});
     }
   }
-  return out;
 }
 
 Value EigProcess::decide() const {

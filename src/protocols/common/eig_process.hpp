@@ -35,8 +35,8 @@ class EigProcess final : public sim::Process {
   [[nodiscard]] NodeId id() const override { return params_.self; }
   [[nodiscard]] int total_rounds() const override { return params_.depth; }
   [[nodiscard]] std::vector<sim::Message> start() override;
-  [[nodiscard]] std::vector<sim::Message> on_round(
-      int round, const std::vector<sim::Message>& inbox) override;
+  void on_round(int round, const std::vector<sim::Message>& inbox,
+                std::vector<sim::Message>& out) override;
   [[nodiscard]] Value decide() const override;
 
   /// Checkpoint/fork support: the flat EigTree arena makes both plain
@@ -48,8 +48,6 @@ class EigProcess final : public sim::Process {
   [[nodiscard]] const EigTree& tree() const { return tree_; }
 
  private:
-  [[nodiscard]] bool valid_message(int round, const sim::Message& msg) const;
-
   Params params_;
   EigTree tree_;
 };

@@ -35,7 +35,8 @@ sim::RunResult ThreadedRunner::run() {
   executions.add();
 
   const std::size_t n = processes_.size();
-  const sim::NodeIndex index(processes_);  // asserts ids unique
+  // Asserts ids unique and every faulty id a process id.
+  const sim::NodeIndex index(processes_, options_.faulty);
   std::vector<std::unique_ptr<Mailbox>> mailboxes;
   mailboxes.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -49,7 +50,7 @@ sim::RunResult ThreadedRunner::run() {
   std::exception_ptr first_error;
   std::mutex error_mutex;
 
-  const auto dispatch = [&](std::vector<sim::Message>&& outbox, NodeId from,
+  const auto dispatch = [&](std::vector<sim::Message>& outbox, NodeId from,
                             int round, bool fabricated, bool faulty) {
     for (sim::Message& msg : outbox) {
       DA_EXPECTS(msg.from == from);
@@ -93,39 +94,39 @@ sim::RunResult ThreadedRunner::run() {
     const obs::MetricsScope node_metrics_scope;
     try {
       const NodeId self = proc.id();
-      const bool faulty = sim::is_faulty(options_, self);
       const std::size_t my_index = index.at(self);
+      const bool faulty = index.faulty(my_index);
 
       // Round-0 send phase.
-      dispatch(proc.start(), self, 0, /*fabricated=*/false, faulty);
+      std::vector<sim::Message> outbox = proc.start();
+      dispatch(outbox, self, 0, /*fabricated=*/false, faulty);
       if (faulty) {
         std::vector<sim::Message> extra;
         {
           const std::lock_guard<std::mutex> lock(shared_mutex);
           extra = options_.adversary->fabricate(self, 0);
         }
-        dispatch(std::move(extra), self, 0, /*fabricated=*/true, faulty);
+        dispatch(extra, self, 0, /*fabricated=*/true, faulty);
       }
       barrier.arrive_and_wait();
 
       for (int r = 0; r < rounds; ++r) {
         const std::vector<sim::Message> inbox = mailboxes[my_index]->drain(r);
-        std::vector<sim::Message> outbox = proc.on_round(r, inbox);
+        outbox.clear();
+        proc.on_round(r, inbox, outbox);
         if (options_.spans != nullptr) {
           const std::lock_guard<std::mutex> lock(shared_mutex);
           options_.spans->note_resolve(r, 1);
         }
         if (r + 1 < rounds) {
-          dispatch(std::move(outbox), self, r + 1, /*fabricated=*/false,
-                   faulty);
+          dispatch(outbox, self, r + 1, /*fabricated=*/false, faulty);
           if (faulty) {
             std::vector<sim::Message> extra;
             {
               const std::lock_guard<std::mutex> lock(shared_mutex);
               extra = options_.adversary->fabricate(self, r + 1);
             }
-            dispatch(std::move(extra), self, r + 1, /*fabricated=*/true,
-                     faulty);
+            dispatch(extra, self, r + 1, /*fabricated=*/true, faulty);
           }
         }
         barrier.arrive_and_wait();

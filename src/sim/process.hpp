@@ -16,11 +16,13 @@ namespace da::sim {
 /// Lifecycle driven by a runner:
 ///   1. `start()` is called once; returned messages are the node's round-0
 ///      sends.
-///   2. For r = 0..total_rounds()-1, `on_round(r, inbox)` receives exactly
-///      the messages addressed to this node that were sent in round r (after
-///      adversary corruption and network filtering) and returns the node's
-///      round r+1 sends. Messages returned from the final round are
-///      discarded.
+///   2. For r = 0..total_rounds()-1, `on_round(r, inbox, out)` receives
+///      exactly the messages addressed to this node that were sent in round
+///      r (after adversary corruption and network filtering) and appends
+///      the node's round r+1 sends to `out`. The outbox is caller-owned:
+///      it arrives empty, and runners keep its capacity from round to round
+///      so a steady-state round allocates nothing. Messages appended in the
+///      final round are discarded.
 ///   3. `decide()` is queried after the final round.
 class Process {
  public:
@@ -37,9 +39,10 @@ class Process {
   /// Round-0 sends.
   [[nodiscard]] virtual std::vector<Message> start() = 0;
 
-  /// Handle the messages delivered in round `round`; return round+1 sends.
-  [[nodiscard]] virtual std::vector<Message> on_round(
-      int round, const std::vector<Message>& inbox) = 0;
+  /// Handle the messages delivered in round `round`; append the round+1
+  /// sends to `out`, which the caller passes in empty.
+  virtual void on_round(int round, const std::vector<Message>& inbox,
+                        std::vector<Message>& out) = 0;
 
   /// The node's decision after the final round.
   [[nodiscard]] virtual Value decide() const = 0;

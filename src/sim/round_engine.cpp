@@ -47,12 +47,9 @@ RoundEngine::RoundEngine(std::vector<std::unique_ptr<Process>> processes,
                          RunOptions options)
     : processes_(std::move(processes)),
       options_(std::move(options)),
-      index_(processes_) {
+      index_(processes_, options_.faulty) {
   DA_EXPECTS(!processes_.empty());
   DA_EXPECTS(options_.faulty.empty() || options_.adversary != nullptr);
-  for (NodeId f : options_.faulty) {
-    DA_EXPECTS(index_.at(f) != NodeIndex::npos);
-  }
   rounds_ = processes_[0]->total_rounds();
   for (const auto& p : processes_) DA_EXPECTS(p->total_rounds() == rounds_);
   const std::size_t n = processes_.size();
@@ -72,9 +69,10 @@ void RoundEngine::begin() {
   dispatched_ = false;
 }
 
-void RoundEngine::dispatch(std::vector<Message>& outbox, NodeId from,
+void RoundEngine::dispatch(std::vector<Message>& outbox, std::size_t i,
                            int round, bool fabricated) {
-  const bool faulty = is_faulty(options_, from);
+  const NodeId from = processes_[i]->id();
+  const bool faulty = index_.faulty(i);
   // Metric deltas are batched per dispatch call — identical totals, one
   // thread-local add per metric instead of three per message.
   std::uint64_t sent = 0;
@@ -136,14 +134,12 @@ void RoundEngine::dispatch(std::vector<Message>& outbox, NodeId from,
 void RoundEngine::dispatch_pending() {
   DA_EXPECTS(begun_ && !dispatched_ && !done());
   for (std::size_t i = 0; i < processes_.size(); ++i) {
-    dispatch(pending_[i], processes_[i]->id(), pending_round_,
-             /*fabricated=*/false);
+    dispatch(pending_[i], i, pending_round_, /*fabricated=*/false);
     pending_[i].clear();  // keep capacity for the next collect
-    if (is_faulty(options_, processes_[i]->id())) {
+    if (index_.faulty(i)) {
       std::vector<Message> fabricated =
           options_.adversary->fabricate(processes_[i]->id(), pending_round_);
-      dispatch(fabricated, processes_[i]->id(), pending_round_,
-               /*fabricated=*/true);
+      dispatch(fabricated, i, pending_round_, /*fabricated=*/true);
     }
   }
   dispatched_ = true;
@@ -155,17 +151,17 @@ void RoundEngine::process_round() {
   const obs::ScopedTimer round_timer(round_ms_histogram());
   const int r = rounds_processed_;
   delivered_.swap(inflight_);  // inflight buffers are all empty (cleared)
+  const bool last = r + 1 == rounds_;
   for (std::size_t i = 0; i < processes_.size(); ++i) {
-    Process& p = *processes_[i];
     std::vector<Message>& inbox = delivered_[i];
     sort_inbox(inbox);
-    std::vector<Message> outbox = p.on_round(r, inbox);
+    // Outboxes collect straight into the held buffers (emptied by the
+    // last dispatch, capacity kept). Sends of the final round are
+    // discarded, uncounted, so they go to one reused scratch buffer.
+    std::vector<Message>& out = last ? final_sends_ : pending_[i];
+    processes_[i]->on_round(r, inbox, out);
+    final_sends_.clear();
     inbox.clear();  // keep capacity for the round after next
-    if (r + 1 < rounds_) {
-      pending_[i] = std::move(outbox);
-    }
-    // Messages returned from the final round are discarded, uncounted —
-    // same as SyncRunner.
   }
   rounds_processed_ = r + 1;
   pending_round_ = r + 1;

@@ -109,7 +109,7 @@ class RoundEngine {
   void restore(const Snapshot& snap);
 
  private:
-  void dispatch(std::vector<Message>& outbox, NodeId from, int round,
+  void dispatch(std::vector<Message>& outbox, std::size_t i, int round,
                 bool fabricated);
 
   std::vector<std::unique_ptr<Process>> processes_;
@@ -121,6 +121,7 @@ class RoundEngine {
   // but not yet dispatched. `begun_` flips on begin(); `dispatched_`
   // tracks which phase is next.
   std::vector<std::vector<Message>> pending_;
+  std::vector<Message> final_sends_;  // final-round sends, discarded
   int pending_round_ = 0;
   bool begun_ = false;
   bool dispatched_ = false;

@@ -8,13 +8,8 @@
 
 namespace da::sim {
 
-bool is_faulty(const RunOptions& options, NodeId id) {
-  return std::find(options.faulty.begin(), options.faulty.end(), id) !=
-         options.faulty.end();
-}
-
-NodeIndex::NodeIndex(
-    const std::vector<std::unique_ptr<Process>>& processes) {
+NodeIndex::NodeIndex(const std::vector<std::unique_ptr<Process>>& processes,
+                     const std::vector<NodeId>& faulty) {
   NodeId max_id = -1;
   for (const auto& p : processes) {
     DA_EXPECTS(p->id() >= 0);
@@ -26,7 +21,12 @@ NodeIndex::NodeIndex(
     DA_EXPECTS(slot == npos);  // ids unique
     slot = i;
   }
-  count_ = processes.size();
+  faulty_.assign(processes.size(), 0);
+  for (NodeId f : faulty) {
+    const std::size_t i = at(f);
+    DA_EXPECTS(i != npos);  // faulty ids must be process ids
+    faulty_[i] = 1;
+  }
 }
 
 std::vector<Message> filter_fanout(const Message& msg,
@@ -51,15 +51,19 @@ std::vector<Message> filter_fanout(const Message& msg,
 
 void sort_inbox(std::vector<Message>& inbox) {
   // Total order: a fabricating adversary may inject duplicates of a
-  // (from, path) slot with different contents, and both runtimes must
+  // (from, path) slot with different contents, and every runtime must
   // present them to the process in the same order.
-  std::sort(inbox.begin(), inbox.end(),
-            [](const Message& a, const Message& b) {
-              if (a.from != b.from) return a.from < b.from;
-              if (!(a.path == b.path)) return a.path < b.path;
-              if (a.value != b.value) return a.value < b.value;
-              return a.aux < b.aux;
-            });
+  const auto before = [](const Message& a, const Message& b) {
+    if (a.from != b.from) return a.from < b.from;
+    if (!(a.path == b.path)) return a.path < b.path;
+    if (a.value != b.value) return a.value < b.value;
+    return a.aux < b.aux;
+  };
+  // Dispatch walks senders in position order and each sender emits in
+  // path order, so most inboxes are already canonical; one linear check
+  // then replaces the sort. The order seen by processes is the same.
+  if (std::is_sorted(inbox.begin(), inbox.end(), before)) return;
+  std::sort(inbox.begin(), inbox.end(), before);
 }
 
 SyncRunner::SyncRunner(std::vector<std::unique_ptr<Process>> processes,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -73,20 +74,22 @@ class SyncRunner {
                                                  bool from_is_faulty,
                                                  bool fabricated);
 
-/// True if `id` is in `options.faulty`.
-[[nodiscard]] bool is_faulty(const RunOptions& options, NodeId id);
-
 /// Dense NodeId -> process-index table shared by the three runtimes'
 /// indexed inbox buffers: `at(id)` is the process position, or npos for
 /// ids no process owns. Honest senders and the normalized adversary
 /// `corrupt` hook can only target participants, but `fabricate` may aim
 /// anywhere — runtimes must *drop* (and count) fabricated messages whose
 /// target is unknown instead of growing a map or writing out of bounds.
+///
+/// The table also carries each position's faulty flag, built once from
+/// `RunOptions::faulty` (every faulty id must be a process id), so the
+/// runtimes' per-dispatch "is the sender Byzantine?" test is one load.
 class NodeIndex {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  explicit NodeIndex(const std::vector<std::unique_ptr<Process>>& processes);
+  NodeIndex(const std::vector<std::unique_ptr<Process>>& processes,
+            const std::vector<NodeId>& faulty);
 
   [[nodiscard]] std::size_t at(NodeId id) const {
     return id >= 0 && static_cast<std::size_t>(id) < index_.size()
@@ -94,14 +97,19 @@ class NodeIndex {
                : npos;
   }
 
-  [[nodiscard]] std::size_t size() const { return count_; }
+  /// True if the process at position `i` is in `RunOptions::faulty`.
+  [[nodiscard]] bool faulty(std::size_t i) const { return faulty_[i] != 0; }
+
+  [[nodiscard]] std::size_t size() const { return faulty_.size(); }
 
  private:
-  std::vector<std::size_t> index_;  // NodeId -> position, npos when unknown
-  std::size_t count_ = 0;
+  std::vector<std::size_t> index_;    // NodeId -> position, npos when unknown
+  std::vector<std::uint8_t> faulty_;  // position -> 1 when faulty
 };
 
-/// Canonical inbox order used by both runtimes.
+/// Canonical inbox order used by all three runtimes: (from, path, value,
+/// aux). Inboxes that already arrive in that order — every honest
+/// depth <= 3 round — are only checked, not re-sorted.
 void sort_inbox(std::vector<Message>& inbox);
 
 }  // namespace da::sim

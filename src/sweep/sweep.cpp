@@ -46,58 +46,65 @@ SweepResult run_sweep(const ShardPlan& plan, const SweepOptions& options,
       if (saved.first_hit != kNoHit) canceller.report(saved.first_hit);
     }
   }
-  {
+  // Scans one shard on the calling thread, recording `worker` as its
+  // owner.
+  const auto run_shard = [&](std::size_t s, int worker) {
+    // Flush this thread's thread-local metric deltas when the shard
+    // finishes: visitors that drive a RoundEngine phase-by-phase (the
+    // checkpointed searches) stage counters outside any MetricsScope of
+    // their own, and pool threads die without flushing.
+    const obs::MetricsScope metrics_scope;
+    const ShardRange range = plan.shard(s);
+    ShardStats& stats = result.stats.per_shard[s];
+    stats.begin = range.begin;
+    stats.end = range.end;
+    std::uint64_t o = range.begin;
+    if (options.resume != nullptr) {
+      const ShardResume& saved = options.resume->shards[s];
+      stats.executions = saved.executions;
+      stats.weighted = saved.weighted;
+      stats.first_hit = saved.first_hit;
+      if (saved.first_hit != kNoHit) stats.violations = 1;
+      o = saved.first_hit != kNoHit ? range.end : saved.cursor;
+    }
+    stats.cursor = o;
+    if (o >= range.end) return;  // settled by the resumed-in state
+    if (canceller.cancelled(o)) return;  // stats.worker = -1
+    if (options.stop && options.stop()) return;  // suspended, untouched
+    stats.worker = worker;
+    const auto start = Clock::now();
+    Rng rng(mix64(options.seed, range.begin));
+    while (o < range.end) {
+      if (canceller.cancelled(o)) break;
+      if (options.stop && options.stop()) break;  // park the cursor
+      const Visit visit = visitor(o, s, rng);
+      stats.executions += visit.executions;
+      stats.weighted += visit.weight;
+      if (visit.hit) {
+        ++stats.violations;
+        stats.first_hit = o;
+        canceller.report(o);
+        o = range.end;  // ascending scan: the shard verdict is settled
+        break;
+      }
+      o = std::max(o + 1, visit.next);
+    }
+    stats.cursor = std::min(o, range.end);
+    stats.wall_ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - start)
+            .count();
+    if (stats.cursor == range.end && options.on_shard_done) {
+      options.on_shard_done(s, stats);
+    }
+  };
+  if (jobs <= 1) {
+    // One worker: scan the shards in order on the calling thread, as
+    // worker 0, without a pool thread and its hand-off.
+    for (std::size_t s = 0; s < plan.shard_count(); ++s) run_shard(s, 0);
+  } else {
     ThreadPool pool(jobs);
     for (std::size_t s = 0; s < plan.shard_count(); ++s) {
-      pool.submit([&, s] {
-        // Flush this worker's thread-local metric deltas when the shard
-        // finishes: visitors that drive a RoundEngine phase-by-phase (the
-        // checkpointed searches) stage counters outside any MetricsScope
-        // of their own, and pool threads die without flushing.
-        const obs::MetricsScope metrics_scope;
-        const ShardRange range = plan.shard(s);
-        ShardStats& stats = result.stats.per_shard[s];
-        stats.begin = range.begin;
-        stats.end = range.end;
-        std::uint64_t o = range.begin;
-        if (options.resume != nullptr) {
-          const ShardResume& saved = options.resume->shards[s];
-          stats.executions = saved.executions;
-          stats.weighted = saved.weighted;
-          stats.first_hit = saved.first_hit;
-          if (saved.first_hit != kNoHit) stats.violations = 1;
-          o = saved.first_hit != kNoHit ? range.end : saved.cursor;
-        }
-        stats.cursor = o;
-        if (o >= range.end) return;  // settled by the resumed-in state
-        if (canceller.cancelled(o)) return;  // stats.worker = -1
-        if (options.stop && options.stop()) return;  // suspended, untouched
-        stats.worker = pool.current_worker();
-        const auto start = Clock::now();
-        Rng rng(mix64(options.seed, range.begin));
-        while (o < range.end) {
-          if (canceller.cancelled(o)) break;
-          if (options.stop && options.stop()) break;  // park the cursor
-          const Visit visit = visitor(o, s, rng);
-          stats.executions += visit.executions;
-          stats.weighted += visit.weight;
-          if (visit.hit) {
-            ++stats.violations;
-            stats.first_hit = o;
-            canceller.report(o);
-            o = range.end;  // ascending scan: the shard verdict is settled
-            break;
-          }
-          o = std::max(o + 1, visit.next);
-        }
-        stats.cursor = std::min(o, range.end);
-        stats.wall_ms = std::chrono::duration<double, std::milli>(
-                            Clock::now() - start)
-                            .count();
-        if (stats.cursor == range.end && options.on_shard_done) {
-          options.on_shard_done(s, stats);
-        }
-      });
+      pool.submit([&, s] { run_shard(s, pool.current_worker()); });
     }
     pool.wait_idle();
   }

@@ -51,6 +51,8 @@ struct ShardStats {
 /// Knobs for one parallel sweep.
 struct SweepOptions {
   /// Worker threads; <= 0 means std::thread::hardware_concurrency().
+  /// A resolved count of 1 scans the shards in order on the calling
+  /// thread (reported as worker 0), with no pool.
   int jobs = 1;
   /// Base seed for the per-shard RNG streams (shard s receives
   /// Rng(mix64(seed, s.begin)) — a pure function of the plan, so streams
@@ -163,7 +165,8 @@ struct SweepResult {
   SweepStats stats;
 };
 
-/// Runs the visitor over every ordinal of `plan` on a work-stealing pool,
+/// Runs the visitor over every ordinal of `plan` on a work-stealing pool
+/// (inline on the calling thread when `jobs` resolves to 1),
 /// early-exiting once the first (by ordinal) hit is settled.
 ///
 /// Deterministic contract, for any jobs >= 1: `first_hit`,

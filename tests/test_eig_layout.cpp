@@ -6,6 +6,13 @@
 //
 // A fixed regression corpus (tests/corpus/eig_layout.txt, lines of
 // `seed ordinal`, # comments) replays first; randomized sweeps follow.
+//
+// The receive path is pinned the same way: `EigTree::admit` plus the
+// three per-message checks of `EigProcess::on_round` must accept exactly
+// the messages the pre-admit validation accepted (transcribed below as
+// `replay_valid`), and `sim::sort_inbox` must order every inbox exactly
+// as a plain sort by its comparator does, whether or not it skips the
+// sort.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +20,7 @@
 #include <fstream>
 #include <map>
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -22,6 +30,7 @@
 #include "core/checker.hpp"
 #include "faults/search.hpp"
 #include "protocols/common/eig.hpp"
+#include "protocols/common/eig_process.hpp"
 #include "sim/runner.hpp"
 #include "sim/trace.hpp"
 #include "util/rng.hpp"
@@ -163,6 +172,8 @@ bool tree_case(std::uint64_t seed, std::uint64_t ordinal,
   return false;
 }
 
+/// Receive-side validation as EigProcess performed it before `admit()`
+/// fused it into one walk (participants are the ids 0..n-1).
 bool replay_valid(NodeId self, NodeId sender, int n, int round,
                   const sim::Message& msg) {
   if (msg.to != self) return false;
@@ -302,6 +313,177 @@ TEST(EigLayoutProperty, VerdictsMatchReference) {
     std::string failure;
     ASSERT_FALSE(verdict_case(0x5EED5, ordinal, &failure)) << failure;
   }
+}
+
+TEST(EigAdmit, MatchesReferenceValidationExhaustively) {
+  // n = 5, depth 3: every message whose to/from lie in {-1..5}, whose
+  // path has length 0..4 over the same ids, and whose round is 0..2, at
+  // every receiver (sender included) of two sender placements.
+  constexpr int kN = 5;
+  constexpr int kDepth = 3;
+  const std::vector<NodeId> nodes{0, 1, 2, 3, 4};
+  const std::vector<NodeId> ids{-1, 0, 1, 2, 3, 4, 5};
+  std::vector<Path> paths{Path{}};
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    if (paths[i].size() == 4) continue;
+    for (NodeId id : ids) paths.push_back(paths[i].extended(id));
+  }
+  ASSERT_EQ(paths.size(), 1u + 7u + 49u + 343u + 2401u);
+
+  for (NodeId sender : {0, 3}) {
+    for (NodeId self : nodes) {
+      const EigTree tree(self, sender, nodes, kDepth);
+      Path root;
+      root.push_back(sender);
+      std::vector<Path> storable;
+      enumerate_paths(nodes, root, kDepth, &storable);
+      std::set<std::uint32_t> ordinals;
+      std::size_t admitted = 0;
+      int mismatches = 0;
+      for (const Path& path : paths) {
+        const std::uint32_t ord = tree.admit(path);
+        if (ord != EigTree::kReject) {
+          ++admitted;
+          EXPECT_EQ(ord, tree.ordinal_of(path)) << path.to_string();
+          ordinals.insert(ord);
+        }
+        for (int round = 0; round < kDepth; ++round) {
+          for (NodeId to : ids) {
+            for (NodeId from : ids) {
+              const sim::Message msg{
+                  .from = from, .to = to, .round = round, .path = path};
+              // EigProcess::on_round's per-message checks, then admit().
+              const bool fused =
+                  msg.to == self &&
+                  msg.path.size() == static_cast<std::size_t>(round) + 1 &&
+                  msg.path.back() == msg.from && ord != EigTree::kReject;
+              const bool ref = replay_valid(self, sender, kN, round, msg);
+              if (fused != ref && ++mismatches <= 5) {
+                ADD_FAILURE() << "sender " << sender << " self " << self
+                              << " round " << round << ": "
+                              << msg.to_string() << " admit " << fused
+                              << " reference " << ref;
+              }
+            }
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << "sender " << sender << " self " << self;
+      // The admitted paths are exactly the storable ones avoiding self,
+      // on distinct slots; the sender admits nothing.
+      const std::size_t expected =
+          self == sender
+              ? 0
+              : static_cast<std::size_t>(std::count_if(
+                    storable.begin(), storable.end(),
+                    [self](const Path& p) { return !p.contains(self); }));
+      EXPECT_EQ(admitted, expected) << "sender " << sender << " self " << self;
+      EXPECT_EQ(ordinals.size(), admitted);
+    }
+  }
+}
+
+/// The canonical inbox order, transcribed: (from, path, value, aux).
+bool inbox_before(const sim::Message& a, const sim::Message& b) {
+  if (a.from != b.from) return a.from < b.from;
+  if (!(a.path == b.path)) return a.path < b.path;
+  if (a.value != b.value) return a.value < b.value;
+  return a.aux < b.aux;
+}
+
+/// sort_inbox(inbox) must equal a plain std::sort of it.
+void expect_canonical_sort(std::vector<sim::Message> inbox,
+                           const std::string& what) {
+  std::vector<sim::Message> plain = inbox;
+  std::sort(plain.begin(), plain.end(), inbox_before);
+  sim::sort_inbox(inbox);
+  EXPECT_EQ(inbox, plain) << what;
+}
+
+/// Runs an honest EIG instance delivering as RoundEngine does over
+/// reliable links — senders in position order, each outbox in emission
+/// order — and hands every receiver's raw inbox to `visit` before sorting.
+template <typename Visit>
+void honest_inboxes(int n, int depth, Visit visit) {
+  auto procs = make_eig_processes(n, 0, Value::of(7), depth,
+                                  std::make_shared<MajorityResolver>());
+  std::vector<std::vector<sim::Message>> outboxes(procs.size());
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    outboxes[i] = procs[i]->start();
+  }
+  for (int r = 0; r < depth; ++r) {
+    std::vector<std::vector<sim::Message>> inboxes(procs.size());
+    for (std::vector<sim::Message>& outbox : outboxes) {
+      for (sim::Message& msg : outbox) {
+        msg.round = r;
+        inboxes[static_cast<std::size_t>(msg.to)].push_back(msg);
+      }
+      outbox.clear();
+    }
+    for (std::size_t i = 0; i < procs.size(); ++i) {
+      visit(r, static_cast<NodeId>(i), inboxes[i]);
+      sim::sort_inbox(inboxes[i]);
+      procs[i]->on_round(r, inboxes[i], outboxes[i]);
+    }
+  }
+}
+
+TEST(SortInbox, HonestShallowInboxesArriveCanonical) {
+  // Depth <= 3: every honest inbox is already in canonical order, so
+  // sort_inbox only checks it.
+  for (int depth = 1; depth <= 3; ++depth) {
+    int checked = 0;
+    honest_inboxes(6, depth, [&](int r, NodeId node,
+                                 const std::vector<sim::Message>& inbox) {
+      const std::string what = "depth " + std::to_string(depth) + " round " +
+                               std::to_string(r) + " node " +
+                               std::to_string(node);
+      EXPECT_TRUE(std::is_sorted(inbox.begin(), inbox.end(), inbox_before))
+          << what;
+      expect_canonical_sort(inbox, what);
+      checked += static_cast<int>(inbox.size());
+    });
+    EXPECT_GT(checked, 0);
+  }
+}
+
+TEST(SortInbox, DeepRelayInboxesFallBackToTheSort) {
+  // Depth 4: a relayer forwards its round-2 values in (last hop, path)
+  // order, which is not lexicographic in the extended paths, so round 3
+  // arrives out of order and must be sorted.
+  int unsorted = 0;
+  honest_inboxes(6, 4, [&](int r, NodeId node,
+                           const std::vector<sim::Message>& inbox) {
+    if (!std::is_sorted(inbox.begin(), inbox.end(), inbox_before)) {
+      ++unsorted;
+    }
+    expect_canonical_sort(inbox, "depth 4 round " + std::to_string(r) +
+                                     " node " + std::to_string(node));
+  });
+  EXPECT_GT(unsorted, 0);
+}
+
+TEST(SortInbox, FabricatedDuplicatesSortByValueThenAux) {
+  // A fabricating adversary may send several contents for one (from,
+  // path) slot, and exact duplicates; the order is still total.
+  const auto msg = [](NodeId from, Path path, int value, std::int64_t aux) {
+    return sim::Message{.from = from,
+                        .to = 4,
+                        .round = 1,
+                        .path = path,
+                        .value = Value::of(value),
+                        .aux = aux};
+  };
+  const std::vector<sim::Message> inbox{
+      msg(2, Path{0, 2}, 9, 0), msg(1, Path{0, 1}, 9, 0),
+      msg(1, Path{0, 1}, 3, 1), msg(1, Path{0, 1}, 3, 0),
+      msg(2, Path{0, 2}, 9, 0), msg(1, Path{0, 3}, 5, 0),
+      msg(1, Path{0, 1}, 3, 0)};
+  expect_canonical_sort(inbox, "fabricated duplicates");
+  std::vector<sim::Message> sorted = inbox;
+  std::sort(sorted.begin(), sorted.end(), inbox_before);
+  expect_canonical_sort(sorted, "fabricated duplicates, presorted");
+  EXPECT_FALSE(std::is_sorted(inbox.begin(), inbox.end(), inbox_before));
 }
 
 }  // namespace

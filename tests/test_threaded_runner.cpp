@@ -158,10 +158,8 @@ TEST(ThreadedRunner, PropagatesProcessExceptions) {
       if (id_ == 1) throw std::runtime_error("boom");
       return {};
     }
-    std::vector<sim::Message> on_round(
-        int, const std::vector<sim::Message>&) override {
-      return {};
-    }
+    void on_round(int, const std::vector<sim::Message>&,
+                  std::vector<sim::Message>&) override {}
     Value decide() const override { return Value::def(); }
 
    private:
