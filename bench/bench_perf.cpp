@@ -23,6 +23,7 @@
 #include "faults/adversaries.hpp"
 #include "faults/behavior_search.hpp"
 #include "faults/search.hpp"
+#include "inject/differ.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/metrics.hpp"
 #include "protocols/common/eig.hpp"
@@ -624,6 +625,25 @@ int verify_service_smoke() {
   return mismatches;
 }
 
+// Cross-runtime smoke: a short differential sweep (docs/INJECTION.md)
+// runs each drawn case on the sim, threaded and event runtimes through
+// the sweep engine and requires byte-identical artifacts. Runs in both
+// modes, so a `--smoke --json` report also carries every wall-clock
+// sketch (`sim.round_ms`, `rt.run_ms`, `event.run_ms`, `sweep.*_ms`,
+// `service.tick_ms`). Returns the number of mismatched rows.
+int verify_cross_runtime_smoke() {
+  constexpr std::uint64_t kSeed = 2026;
+  const auto result = da::inject::sweep_differential(kSeed, /*cases=*/12,
+                                                     /*jobs=*/2);
+  da::Table table({"seed", "cases", "executions", "agree"});
+  table.set_name("cross_runtime_smoke");
+  table.row(kSeed, result.cases, result.executions,
+            result.first_mismatch ? "MISMATCH" : "yes");
+  std::puts("\nCross-runtime differential smoke (sim/threaded/event):");
+  table.print();
+  return result.first_mismatch ? 1 : 0;
+}
+
 // Console reporter that additionally captures every finished run as a
 // "benchmarks" table row, so the `--json` report carries the timings and
 // tools/bench_diff.py can compare two reports row-by-row.
@@ -681,6 +701,7 @@ int main(int argc, char** argv) {
     benchmark::Shutdown();
     reporter.add_table(bench_table);
   }
-  const int mismatches = verify_analytic_counts() + verify_service_smoke();
+  const int mismatches = verify_analytic_counts() + verify_service_smoke() +
+                         verify_cross_runtime_smoke();
   return reporter.finish(mismatches == 0 ? 0 : 1);
 }

@@ -12,8 +12,10 @@
 // Exit status is 0 iff every replayed case agreed across the sim,
 // threaded and event runtimes.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -22,6 +24,27 @@
 #include "inject/fault_plan.hpp"
 
 namespace {
+
+[[noreturn]] void usage() {
+  std::fprintf(stderr,
+               "usage: inject_replay [--check-plan FILE | --case SEED "
+               "ORDINAL | --sweep SEED CASES [JOBS]]\n");
+  std::exit(2);
+}
+
+/// Whole-string non-negative integer; anything else is a usage error.
+template <typename T>
+T parse_count(const char* what, const char* arg) {
+  T v{};
+  const char* end = arg + std::strlen(arg);
+  const auto [ptr, ec] = std::from_chars(arg, end, v);
+  if (*arg == '-' || ec != std::errc{} || ptr != end) {
+    std::fprintf(stderr, "inject_replay: %s expects a non-negative integer\n",
+                 what);
+    usage();
+  }
+  return v;
+}
 
 int check_plan(const char* path) {
   std::ifstream in(path);
@@ -91,20 +114,15 @@ int main(int argc, char** argv) {
     return check_plan(argv[2]);
   }
   if (argc >= 4 && std::string(argv[1]) == "--case") {
-    return replay_case(std::strtoull(argv[2], nullptr, 10),
-                       std::strtoull(argv[3], nullptr, 10));
+    return replay_case(parse_count<std::uint64_t>("--case SEED", argv[2]),
+                       parse_count<std::uint64_t>("--case ORDINAL", argv[3]));
   }
   if (argc >= 4 && std::string(argv[1]) == "--sweep") {
-    return sweep(std::strtoull(argv[2], nullptr, 10),
-                 std::strtoull(argv[3], nullptr, 10),
-                 argc >= 5 ? std::atoi(argv[4]) : 4);
+    return sweep(parse_count<std::uint64_t>("--sweep SEED", argv[2]),
+                 parse_count<std::uint64_t>("--sweep CASES", argv[3]),
+                 argc >= 5 ? parse_count<int>("--sweep JOBS", argv[4]) : 4);
   }
-  if (argc > 1) {
-    std::fprintf(stderr,
-                 "usage: inject_replay [--check-plan FILE | --case SEED "
-                 "ORDINAL | --sweep SEED CASES [JOBS]]\n");
-    return 2;
-  }
+  if (argc > 1) usage();
   // Demo: one detailed case, then a short sweep across all six protocols.
   if (replay_case(2026, 0) != 0) return 1;
   std::puts("");

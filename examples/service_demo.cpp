@@ -31,6 +31,7 @@
 // tools/docs_check.sh --service-demo executes that walkthrough.
 
 #include <array>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -60,6 +61,16 @@ double parse_positive(const char* flag, const char* arg) {
   char* end = nullptr;
   const double v = std::strtod(arg, &end);
   if (end == arg || *end != '\0' || v <= 0.0) usage(flag);
+  return v;
+}
+
+/// Whole-string non-negative integer; anything else is a usage error.
+template <typename T>
+T parse_count(const char* flag, const char* arg) {
+  T v{};
+  const char* end = arg + std::strlen(arg);
+  const auto [ptr, ec] = std::from_chars(arg, end, v);
+  if (*arg == '-' || ec != std::errc{} || ptr != end) usage(flag);
   return v;
 }
 
@@ -112,10 +123,11 @@ int main(int argc, char** argv) {
       config.round_period =
           parse_positive("--period expects a positive number", next());
     } else if (std::strcmp(flag, "--seed") == 0) {
-      config.seed = static_cast<std::uint64_t>(
-          std::strtoull(next(), nullptr, 10));
+      config.seed = parse_count<std::uint64_t>(
+          "--seed expects a non-negative integer", next());
     } else if (std::strcmp(flag, "--jobs") == 0) {
-      config.jobs = std::atoi(next());
+      config.jobs =
+          parse_count<int>("--jobs expects a non-negative integer", next());
     } else if (std::strcmp(flag, "--shards") == 0) {
       shards = static_cast<int>(
           parse_positive("--shards expects a positive count", next()));

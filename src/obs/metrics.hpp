@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -12,40 +11,22 @@
 namespace da::obs {
 
 /// Protocol cost accounting for the whole repository: a process-wide
-/// registry of named counters, gauges and histograms that the runtimes,
-/// protocols, network models and the sweep engine write into, and that
-/// benches export as JSON (see docs/OBSERVABILITY.md for the metric
-/// name catalogue and the export schema).
+/// registry of named counters, gauges and quantile sketches that the
+/// runtimes, protocols, network models and the sweep engine write into,
+/// and that benches export as JSON (see docs/OBSERVABILITY.md for the
+/// metric name catalogue and the export schema).
 ///
 /// Hot-path writes go to cheap *thread-local* sinks — a plain (non-atomic)
 /// slot per metric per thread — and are folded into the shared registry
 /// when a `MetricsScope` exits (counters merge with relaxed atomic adds,
-/// histograms under one mutex). That makes instrumentation safe and
+/// sketches under one mutex). That makes instrumentation safe and
 /// contention-free under the sweep engine's work-stealing pool: each
 /// worker accumulates locally and pays one merge per protocol execution.
 ///
 /// Compile-time kill switch: building with -DDA_METRICS_DISABLED (CMake:
-/// -DDA_METRICS=OFF) turns every Counter/Histogram/Quantile/Timer
+/// -DDA_METRICS=OFF) turns every Counter/Quantile/ScopedTimer
 /// operation into an inline no-op so the cost of the instrumentation
 /// itself can be measured (the registry stays linkable but stays empty).
-
-/// Aggregate of one histogram: count/sum/min/max plus coarse log2 buckets
-/// (bucket i counts samples in [2^(i-7), 2^(i-6)), clamped at the ends —
-/// with millisecond samples that spans ~8 us to ~4 min).
-struct HistogramSnapshot {
-  static constexpr std::size_t kBuckets = 16;
-
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  std::array<std::uint64_t, kBuckets> buckets{};
-
-  [[nodiscard]] double mean() const { return count == 0 ? 0.0 : sum / count; }
-
-  /// Bucket index for a sample value.
-  [[nodiscard]] static std::size_t bucket_of(double value);
-};
 
 /// Point-in-time copy of every registered metric. Quantile metrics carry
 /// their full `QuantileSketch`, so a snapshot can answer any percentile
@@ -53,18 +34,16 @@ struct HistogramSnapshot {
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, HistogramSnapshot> histograms;
   std::map<std::string, QuantileSketch> quantiles;
 };
 
 namespace detail {
 void tls_counter_add(std::uint32_t id, std::uint64_t delta);
-void tls_histogram_record(std::uint32_t id, double value);
 void tls_quantile_record(std::uint32_t id, double value);
 }  // namespace detail
 
 /// The process-wide metric store. Use `MetricsRegistry::global()`;
-/// metric handles (`Counter`, `Histogram`) intern their name here once at
+/// metric handles (`Counter`, `Quantile`) intern their name here once at
 /// construction and carry only a dense integer id afterwards.
 class MetricsRegistry {
  public:
@@ -73,7 +52,6 @@ class MetricsRegistry {
   /// Interns a metric name; returns its dense id (stable for the process
   /// lifetime, including across reset()).
   [[nodiscard]] std::uint32_t intern_counter(std::string_view name);
-  [[nodiscard]] std::uint32_t intern_histogram(std::string_view name);
   [[nodiscard]] std::uint32_t intern_quantile(std::string_view name);
 
   /// Gauges are last-write-wins and written directly (no TLS staging):
@@ -92,7 +70,7 @@ class MetricsRegistry {
   /// name was never interned. Convenience for tests and benches.
   [[nodiscard]] std::uint64_t counter_value(std::string_view name);
 
-  /// Zeroes every counter/histogram/gauge (names and ids survive). Only
+  /// Zeroes every counter/sketch/gauge (names and ids survive). Only
   /// meaningful when no instrumented work is in flight on other threads.
   void reset();
 
@@ -122,8 +100,9 @@ class Counter {
 /// A named quantile metric: double samples stream into a thread-local
 /// `QuantileSketch` and fold into the shared one at `MetricsScope` exit.
 /// Because sketch merging is exact (see obs/quantiles.hpp), the merged
-/// sketch is identical for any worker count and flush order — unlike the
-/// coarse `Histogram`, this is safe to pin byte-for-byte in tests.
+/// sketch is identical for any worker count and flush order, so it is safe
+/// to pin byte-for-byte in tests. Wall-clock timers record milliseconds
+/// here too (see `ScopedTimer`); their names end in `_ms`.
 class Quantile {
  public:
 #ifndef DA_METRICS_DISABLED
@@ -132,24 +111,6 @@ class Quantile {
   void record(double value) const { detail::tls_quantile_record(id_, value); }
 #else
   explicit Quantile(std::string_view) {}
-  void record(double) const {}
-#endif
-
- private:
-#ifndef DA_METRICS_DISABLED
-  std::uint32_t id_;
-#endif
-};
-
-/// A named histogram of double samples (timers record milliseconds).
-class Histogram {
- public:
-#ifndef DA_METRICS_DISABLED
-  explicit Histogram(std::string_view name)
-      : id_(MetricsRegistry::global().intern_histogram(name)) {}
-  void record(double value) const { detail::tls_histogram_record(id_, value); }
-#else
-  explicit Histogram(std::string_view) {}
   void record(double) const {}
 #endif
 
@@ -174,27 +135,27 @@ class MetricsScope {
 #endif
 };
 
-/// Records the elapsed wall time (milliseconds) into a histogram at
-/// destruction. The referenced histogram must outlive the timer.
+/// Records the elapsed wall time (milliseconds) into a quantile sketch at
+/// destruction. The referenced `Quantile` must outlive the timer.
 class ScopedTimer {
  public:
 #ifndef DA_METRICS_DISABLED
-  explicit ScopedTimer(const Histogram& hist)
-      : hist_(&hist), start_(std::chrono::steady_clock::now()) {}
+  explicit ScopedTimer(const Quantile& sketch)
+      : sketch_(&sketch), start_(std::chrono::steady_clock::now()) {}
   ~ScopedTimer() {
-    hist_->record(std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start_)
-                      .count());
+    sketch_->record(std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start_)
+                        .count());
   }
 #else
-  explicit ScopedTimer(const Histogram&) {}
+  explicit ScopedTimer(const Quantile&) {}
 #endif
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
 #ifndef DA_METRICS_DISABLED
-  const Histogram* hist_;
+  const Quantile* sketch_;
   std::chrono::steady_clock::time_point start_;
 #endif
 };

@@ -83,10 +83,8 @@ const obs::Counter& class_deadline_counter(AdmissionClass cls) {
       obs::Counter("service.low.deadline_missed")};
   return c[static_cast<std::size_t>(index_of(cls))];
 }
-// Latency-shaped metrics use quantile sketches (p50/p90/p99/p999 in the
-// registry snapshot) rather than the power-of-two histograms: virtual-time
-// latencies cluster within a few octaves, where 2.2%-relative-error
-// sketch buckets resolve what octave histograms blur.
+// Latency-shaped metrics are in virtual time; `tick_ms` below is the one
+// wall-clock sketch (its `_ms` suffix marks it so).
 const obs::Quantile& decision_latency_quantile() {
   static const obs::Quantile q("service.decision_latency");
   return q;
@@ -109,9 +107,9 @@ const obs::Quantile& class_queue_wait_quantile(AdmissionClass cls) {
       obs::Quantile("service.low.queue_wait")};
   return q[static_cast<std::size_t>(index_of(cls))];
 }
-const obs::Histogram& tick_ms_histogram() {
-  static const obs::Histogram h("service.tick_ms");
-  return h;
+const obs::Quantile& tick_ms_sketch() {
+  static const obs::Quantile q("service.tick_ms");
+  return q;
 }
 
 #ifndef DA_METRICS_DISABLED
@@ -573,7 +571,7 @@ void AgreementService::complete_sub_instance(InstanceSlot& slot, double now) {
 }
 
 void AgreementService::tick(double now) {
-  const obs::ScopedTimer timer(tick_ms_histogram());
+  const obs::ScopedTimer timer(tick_ms_sketch());
   ticks_counter().add();
   ++ticks_this_run_;
   rounds_driven_counter().add(active_.size());

@@ -153,5 +153,26 @@ TEST(MessageCounts, ThreadedRuntimeAgreesWithSimulator) {
   EXPECT_EQ(threaded_outcome.messages_sent, core::byz_message_count(4, 1));
 }
 
+// sim.round_ms and sim.rounds are both written once per
+// RoundEngine::process_round, so over one BYZ(m,m) run the timer sketch
+// gains exactly as many samples as the counter gains rounds: m+1.
+TEST(RoundTimer, SketchCountMatchesRoundsCounter) {
+  if (!kRegistryChecks) GTEST_SKIP() << "registry reads return 0";
+  auto& registry = obs::MetricsRegistry::global();
+  const Config config{.n = 7, .m = 2, .u = 2};
+  const std::uint64_t rounds_before = registry.counter_value("sim.rounds");
+  const std::uint64_t timed_before =
+      registry.snapshot().quantiles["sim.round_ms"].count();
+  const auto outcome =
+      DegradableAgreement(config).run(fault_free_spec(config), nullptr);
+  const std::uint64_t rounds =
+      registry.counter_value("sim.rounds") - rounds_before;
+  EXPECT_EQ(rounds, static_cast<std::uint64_t>(outcome.rounds));
+  EXPECT_EQ(rounds, static_cast<std::uint64_t>(core::byz_depth(config.m)));
+  EXPECT_EQ(registry.snapshot().quantiles["sim.round_ms"].count() -
+                timed_before,
+            rounds);
+}
+
 }  // namespace
 }  // namespace da

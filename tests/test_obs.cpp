@@ -135,40 +135,35 @@ TEST(Metrics, PerThreadSinksMergeAcrossThreads) {
             before + kThreads * kAddsPerThread);
 }
 
-TEST(Metrics, HistogramSnapshotAggregates) {
+TEST(Metrics, QuantileAndTimerMergeAcrossThreads) {
 #ifdef DA_METRICS_DISABLED
   GTEST_SKIP() << "metrics instruments are no-ops under -DDA_METRICS=OFF";
 #endif
   auto& registry = MetricsRegistry::global();
-  {
-    const MetricsScope scope;
-    const Histogram hist("test.obs.hist");
-    hist.record(1.0);
-    hist.record(2.0);
-    hist.record(9.0);
+  const std::uint64_t before =
+      registry.snapshot().quantiles["test.obs.sketch_ms"].count();
+  // Each thread records two samples through the handle and one through a
+  // ScopedTimer. The timer's sample is a non-negative elapsed time, so 0.0
+  // stays the exact min; 5000 ms is past the sketch's last octave and
+  // stays the exact max.
+  std::vector<std::thread> threads;
+  for (const double top : {2.0, 5000.0}) {
+    threads.emplace_back([top] {
+      const MetricsScope scope;
+      const Quantile sketch("test.obs.sketch_ms");
+      sketch.record(0.0);
+      sketch.record(top);
+      const ScopedTimer timer(sketch);
+    });
   }
+  for (auto& t : threads) t.join();
   const auto snap = registry.snapshot();
-  const auto it = snap.histograms.find("test.obs.hist");
-  ASSERT_NE(it, snap.histograms.end());
-  EXPECT_GE(it->second.count, 3u);
-  EXPECT_GE(it->second.sum, 12.0);
-  EXPECT_GE(it->second.max, 9.0);
-  std::uint64_t bucket_total = 0;
-  for (const auto b : it->second.buckets) bucket_total += b;
-  EXPECT_EQ(bucket_total, it->second.count);
-}
-
-TEST(Metrics, BucketOfIsMonotonicAndClamped) {
-  EXPECT_EQ(HistogramSnapshot::bucket_of(0.0), 0u);
-  std::size_t previous = 0;
-  for (double v = 1e-4; v < 1e7; v *= 2) {
-    const std::size_t bucket = HistogramSnapshot::bucket_of(v);
-    EXPECT_GE(bucket, previous);
-    EXPECT_LT(bucket, HistogramSnapshot::kBuckets);
-    previous = bucket;
-  }
-  EXPECT_EQ(HistogramSnapshot::bucket_of(1e30),
-            HistogramSnapshot::kBuckets - 1);
+  const auto it = snap.quantiles.find("test.obs.sketch_ms");
+  ASSERT_NE(it, snap.quantiles.end());
+  EXPECT_EQ(it->second.count(), before + 6);
+  EXPECT_EQ(it->second.min(), 0.0);
+  EXPECT_EQ(it->second.max(), 5000.0);
+  EXPECT_EQ(it->second.quantile(1.0), 5000.0);
 }
 
 TEST(Metrics, GaugeIsLastWriteWins) {

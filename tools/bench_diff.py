@@ -23,11 +23,14 @@ Two advisory passes ride along:
   between differently-configured runs reflect the configuration, not the
   code (the BENCH_perf.json policy is seed 7 / jobs 1 / clean tree);
 - the ``metrics.quantiles`` sections are diffed per sketch name on p50
-  and p99. Latency quantiles are measured in *virtual* time, so they are
-  deterministic — any drift past ``--quantile-threshold`` percent
-  (default 5) means service behaviour changed, not the machine. Drift is
-  printed as ``<< CHANGED`` but never fails the run: features legitimately
-  move latency, the diff just makes the move visible.
+  and p99. Naming rule: a sketch whose name ends in ``_ms`` is a
+  wall-clock timer (``sim.round_ms``, ``sweep.shard_wall_ms``, ...) and
+  is listed as "wall-clock, not compared"; every other sketch is in
+  *virtual* time (``service.*decision_latency``, ``service.*queue_wait``)
+  and therefore deterministic — any drift past ``--quantile-threshold``
+  percent (default 5) means service behaviour changed, not the machine.
+  Drift is printed as ``<< CHANGED`` but never fails the run: features
+  legitimately move latency, the diff just makes the move visible.
 
 ``--require-rows NAME`` (repeatable) turns a missing candidate row into a
 hard failure: the run exits 1 unless the candidate carries a benchmark
@@ -125,12 +128,15 @@ def diff_quantiles(
     """Advisory p50/p99 diff of the metrics.quantiles sections.
 
     Returns (output lines, number of sketches drifting past threshold).
+    Wall-clock sketches (``*_ms``) are listed but not compared.
     """
     base = quantile_rows(baseline)
     cand = quantile_rows(candidate)
-    shared = sorted(set(base) & set(cand))
-    if not shared:
+    both = sorted(set(base) & set(cand))
+    if not both:
         return [], 0
+    wall_clock = [name for name in both if name.endswith("_ms")]
+    shared = [name for name in both if not name.endswith("_ms")]
     lines = [
         "",
         f"{'quantile sketch':<34} {'col':>4} {'base':>12} {'cand':>12} "
@@ -153,6 +159,8 @@ def diff_quantiles(
             )
         if drifted:
             changed += 1
+    for name in wall_clock:
+        lines.append(f"{name:<34}  wall-clock, not compared")
     if changed:
         lines.append(
             f"note: {changed} sketch(es) drifted past {threshold:.0f}% on "
@@ -291,7 +299,6 @@ def _report(
         "metrics": {
             "counters": {},
             "gauges": {},
-            "histograms": {},
             "quantiles": quantiles or {},
         },
     }
@@ -384,6 +391,21 @@ def self_test() -> int:
     check(
         "stable quantiles are not flagged",
         not any("CHANGED" in line for line in lines),
+    )
+
+    # Wall-clock sketches (``*_ms``) drift with the machine: listed, never
+    # flagged, even when a virtual-time sketch beside them drifts.
+    wall_base = {**base_q, "sim.round_ms": {"p50": 0.01, "p99": 0.02}}
+    wall_cand = {**drift_q, "sim.round_ms": {"p50": 0.05, "p99": 0.09}}
+    qlines, changed = diff_quantiles(
+        _report(quantiles=wall_base), _report(quantiles=wall_cand), 5.0
+    )
+    check("wall-clock drift is not counted", changed == 1)
+    round_ms_lines = [line for line in qlines if "sim.round_ms" in line]
+    check(
+        "wall-clock sketch is listed as not compared",
+        len(round_ms_lines) == 1
+        and round_ms_lines[0].endswith("wall-clock, not compared"),
     )
 
     # 7. The symmetry-ablation rows (BM_BehaviorSearchCanonical/<n>/<sym>)
