@@ -49,11 +49,11 @@ ServiceFrontend::ServiceFrontend(FrontendConfig config)
   mix_ = config_.service.mix.empty() ? default_mix() : config_.service.mix;
   const int jobs = sweep::resolve_jobs(config_.service.jobs);
   config_.service.jobs = jobs;
-  // The cross-shard pool lives here; each shard runs single-threaded
-  // inside its tick task (disjoint state, one task per active shard).
-  if (jobs > 1 && config_.shards > 1) {
-    pool_ = std::make_unique<sweep::ThreadPool>(jobs);
-  }
+  // The cross-shard crew lives here; each shard runs single-threaded
+  // inside its tick task (disjoint state, one task per shard). More
+  // members than shards would never get a task.
+  const int members = std::min(jobs, config_.shards);
+  if (members > 1) crew_ = std::make_unique<sweep::TickCrew>(members);
   shards_.reserve(static_cast<std::size_t>(config_.shards));
   for (int s = 0; s < config_.shards; ++s) {
     ServiceConfig shard = config_.service;
@@ -190,20 +190,16 @@ FrontendResult ServiceFrontend::run() {
     // Lockstep tick: every non-idle shard advances one round batch at
     // the same instant. Idle shards have empty queues (queue non-empty
     // implies active inside a shard), so skipping them loses nothing.
-    if (pool_ != nullptr) {
-      for (auto& shard : shards_) {
-        if (shard->idle()) continue;
-        AgreementService* raw = shard.get();
-        pool_->submit([raw, now] {
-          const obs::MetricsScope worker_scope;
-          raw->step(now);
-        });
-      }
-      pool_->wait_idle();
+    // On the crew, shard s always steps on member s % threads, so its
+    // slot pool and engines stay in one core's cache from tick to tick.
+    const auto step_shard = [this, now](std::size_t s) {
+      AgreementService& shard = *shards_[s];
+      if (!shard.idle()) shard.step(now);
+    };
+    if (crew_ != nullptr) {
+      crew_->run(nshards, step_shard);
     } else {
-      for (auto& shard : shards_) {
-        if (!shard->idle()) shard->step(now);
-      }
+      for (std::size_t s = 0; s < nshards; ++s) step_shard(s);
     }
     finished = total_finished();
     next_tick = any_active() ? now + period : kNever;

@@ -11,7 +11,7 @@
 #include "obs/quantiles.hpp"
 #include "obs/spans.hpp"
 #include "service/service.hpp"
-#include "sweep/thread_pool.hpp"
+#include "sweep/tick_crew.hpp"
 
 namespace da::service {
 
@@ -21,9 +21,10 @@ namespace da::service {
 /// stream and the per-job draws (template, adversary — the same pure
 /// functions of (seed, global id) the single service uses), routes each
 /// arrival to a shard, and drives every shard's round ticks in lockstep
-/// on one global tick grid. Cross-shard draining is batched on the sweep
-/// `ThreadPool` (`FrontendConfig::service.jobs > 1`): shards touch
-/// disjoint state, so a tick fans one task per active shard.
+/// on one global tick grid. With `FrontendConfig::service.jobs > 1` a
+/// tick fans one task per shard onto a `sweep::TickCrew` of
+/// min(jobs, shards) threads: shards touch disjoint state, and shard s
+/// always steps on crew member s % threads.
 ///
 /// Determinism contract, extended: for a fixed (config, shard count,
 /// route policy), every field of `FrontendResult` except `wall_ms` —
@@ -54,9 +55,9 @@ enum class RoutePolicy {
 struct FrontendConfig {
   /// Per-shard service configuration. `offered` and `seed` are global
   /// (the front-end owns the arrival stream); `jobs` sizes the
-  /// *front-end's* cross-shard pool (each shard runs single-threaded
-  /// inside its tick task); `sample_every` drives the *aggregated*
-  /// time series.
+  /// *front-end's* cross-shard tick crew, capped at `shards` (each shard
+  /// runs single-threaded inside its tick task); `sample_every` drives
+  /// the *aggregated* time series.
   ServiceConfig service{};
   int shards = 2;
   RoutePolicy route = RoutePolicy::kHashJobId;
@@ -128,6 +129,11 @@ class ServiceFrontend {
 
   [[nodiscard]] const FrontendConfig& config() const { return config_; }
   [[nodiscard]] int shards() const { return static_cast<int>(shards_.size()); }
+  /// Threads that step the shards each tick: min(jobs, shards), counting
+  /// the calling thread; 1 when ticks run inline.
+  [[nodiscard]] int threads() const {
+    return crew_ == nullptr ? 1 : crew_->threads();
+  }
   /// The derived seed shard `s` was constructed with.
   [[nodiscard]] std::uint64_t shard_seed(int s) const;
 
@@ -138,7 +144,7 @@ class ServiceFrontend {
   FrontendConfig config_;
   std::vector<JobTemplate> mix_;
   std::vector<std::unique_ptr<AgreementService>> shards_;
-  std::unique_ptr<sweep::ThreadPool> pool_;
+  std::unique_ptr<sweep::TickCrew> crew_;  // null when ticks run inline
 };
 
 /// One-shot convenience: construct, run once, return the result.

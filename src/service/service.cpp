@@ -156,6 +156,9 @@ void add_injection_tags(
 
 constexpr double kNever = std::numeric_limits<double>::infinity();
 
+/// Chunks of the tick batch per crew member (see `tick`).
+constexpr std::size_t kChunksPerThread = 8;
+
 std::uint64_t fold_value(std::uint64_t h, Value v) {
   return mix64(h, v.is_default() ? ~std::uint64_t{0}
                                  : static_cast<std::uint64_t>(v.raw()));
@@ -312,7 +315,7 @@ AgreementService::AgreementService(ServiceConfig config)
   build_shapes();
   const int jobs = sweep::resolve_jobs(config_.jobs);
   config_.jobs = jobs;
-  if (jobs > 1) pool_ = std::make_unique<sweep::ThreadPool>(jobs);
+  if (jobs > 1) crew_ = std::make_unique<sweep::TickCrew>(jobs);
 }
 
 AgreementService::~AgreementService() = default;
@@ -583,19 +586,23 @@ void AgreementService::tick(double now) {
     slot->engine.dispatch_pending();
     slot->engine.process_round();
   };
-  if (pool_ != nullptr && active_.size() > 1) {
-    const std::size_t chunks =
-        std::min<std::size_t>(active_.size(),
-                              static_cast<std::size_t>(pool_->threads()) * 4);
+  if (crew_ != nullptr && active_.size() > 1) {
+    // Several contiguous chunks per member, dealt round-robin: cost
+    // varies along active_ (sub-instances admitted together share a job's
+    // shape and round), so one contiguous slice per member is unbalanced.
+    const std::size_t chunks = std::min<std::size_t>(
+        active_.size(),
+        static_cast<std::size_t>(crew_->threads()) * kChunksPerThread);
     const std::size_t per = (active_.size() + chunks - 1) / chunks;
-    for (std::size_t begin = 0; begin < active_.size(); begin += per) {
-      const std::size_t end = std::min(begin + per, active_.size());
-      pool_->submit([this, begin, end, &advance] {
-        const obs::MetricsScope worker_scope;
-        for (std::size_t i = begin; i < end; ++i) advance(active_[i]);
-      });
-    }
-    pool_->wait_idle();
+    crew_->run((active_.size() + per - 1) / per,
+               [this, per, &advance](std::size_t chunk) {
+                 const std::size_t begin = chunk * per;
+                 const std::size_t end =
+                     std::min(begin + per, active_.size());
+                 for (std::size_t i = begin; i < end; ++i) {
+                   advance(active_[i]);
+                 }
+               });
   } else {
     for (InstanceSlot* slot : active_) advance(slot);
   }

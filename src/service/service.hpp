@@ -15,7 +15,7 @@
 #include "service/arrivals.hpp"
 #include "sim/adversary.hpp"
 #include "sim/round_engine.hpp"
-#include "sweep/thread_pool.hpp"
+#include "sweep/tick_crew.hpp"
 
 namespace da::service {
 
@@ -30,8 +30,9 @@ namespace da::service {
 /// priority classes, optional admission deadlines, shed-lowest-class-first
 /// overload handling), and is executed in *batched round ticks*: every
 /// `round_period` of virtual time, all co-scheduled instances advance one
-/// synchronous round together, drained by the sweep engine's
-/// work-stealing pool when `jobs > 1`.
+/// synchronous round together, drained by the sweep engine's tick crew
+/// (`sweep::TickCrew`, `jobs` threads counting the caller) when
+/// `jobs > 1`.
 ///
 /// Steady-state admission is allocation-free: per distinct scenario
 /// *shape* (protocol, config, sender, value, faulty set) the service
@@ -125,7 +126,8 @@ struct ServiceConfig {
   /// one synchronous round per tick).
   double round_period = 1.0;
   std::uint64_t seed = 1;
-  /// Worker threads draining each round batch; <= 1 drains inline.
+  /// Threads draining each round batch, the event-loop thread included:
+  /// 1 drains inline, 0 or less uses every core.
   int jobs = 1;
   /// Scenario mix; `default_mix()` when empty.
   std::vector<JobTemplate> mix{};
@@ -382,7 +384,7 @@ class AgreementService {
   AdmissionQueue admission_;
   int active_width_ = 0;
 
-  std::unique_ptr<sweep::ThreadPool> pool_;
+  std::unique_ptr<sweep::TickCrew> crew_;  // null when jobs == 1
   std::uint64_t slots_created_ = 0;
   std::uint64_t slot_reuses_ = 0;
 

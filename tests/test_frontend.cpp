@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "obs/metrics.hpp"
 #include "service/service.hpp"
 
 namespace da::service {
@@ -80,6 +81,59 @@ TEST(Frontend, DigestAndSketchesInvariantAcrossJobsValues) {
     }
   }
 }
+
+TEST(Frontend, CrewSizedToMinOfJobsAndShards) {
+  // A member beyond the shard count would never get a tick task.
+  struct Case {
+    int shards;
+    int jobs;
+    int threads;
+  };
+  for (const Case& c : {Case{2, 4, 2}, Case{3, 2, 2}, Case{3, 3, 3},
+                        Case{2, 1, 1}, Case{1, 3, 1}}) {
+    FrontendConfig config;
+    config.service = congested_config();
+    config.shards = c.shards;
+    config.service.jobs = c.jobs;
+    const ServiceFrontend frontend(config);
+    EXPECT_EQ(frontend.threads(), c.threads)
+        << c.shards << " shards, jobs " << c.jobs;
+  }
+}
+
+#ifndef DA_METRICS_DISABLED
+TEST(Frontend, RegistryCountersInvariantAcrossJobs) {
+  // Helpers count into thread-local sinks; the crew flushes them before
+  // each tick returns, so a read right after run() sees every count.
+  const std::vector<std::string> names = {"sim.rounds", "sim.messages_sent",
+                                          "service.completed",
+                                          "frontend.ticks"};
+  const auto deltas = [&names](int jobs) {
+    FrontendConfig config;
+    config.service = congested_config();
+    config.shards = 2;
+    config.service.jobs = jobs;
+    ServiceFrontend frontend(config);
+    auto& registry = obs::MetricsRegistry::global();
+    std::vector<std::uint64_t> before;
+    for (const std::string& name : names) {
+      before.push_back(registry.counter_value(name));
+    }
+    (void)frontend.run();
+    std::vector<std::uint64_t> out;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      out.push_back(registry.counter_value(names[i]) - before[i]);
+    }
+    return out;
+  };
+  const std::vector<std::uint64_t> lone = deltas(1);
+  const std::vector<std::uint64_t> crew = deltas(2);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_GT(lone[i], 0u) << names[i];
+    EXPECT_EQ(lone[i], crew[i]) << names[i];
+  }
+}
+#endif
 
 TEST(Frontend, UncongestedStreamMatchesSingleServiceBaseline) {
   // Sharding transparency: when nothing ever queues, the front-end only

@@ -1,13 +1,15 @@
-// The parallel scenario-sweep engine (src/sweep/): thread pool, shard
-// plans, first-hit-by-ordinal semantics, early-exit cancellation, and the
-// cross-thread-count determinism contract the faults/ searches rely on —
-// same seed + any --jobs value => identical violation verdict and
-// identical canonical execution count.
+// The parallel scenario-sweep engine (src/sweep/): thread pool, tick
+// crew, shard plans, first-hit-by-ordinal semantics, early-exit
+// cancellation, and the cross-thread-count determinism contract the
+// faults/ searches rely on — same seed + any --jobs value => identical
+// violation verdict and identical canonical execution count.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "sweep/shard.hpp"
 #include "sweep/sweep.hpp"
 #include "sweep/thread_pool.hpp"
+#include "sweep/tick_crew.hpp"
 
 namespace da::sweep {
 namespace {
@@ -69,6 +72,99 @@ TEST(ThreadPool, ClampsThreadCountToAtLeastOne) {
   pool.submit([&count] { ++count; });
   pool.wait_idle();
   EXPECT_EQ(count.load(), 1);
+}
+
+// ---------------------------------------------------------------- crew --
+
+TEST(TickCrew, RunsEveryTaskExactlyOnce) {
+  TickCrew crew(3);
+  EXPECT_EQ(crew.threads(), 3);
+  for (std::size_t tasks : {2u, 3u, 7u, 64u}) {
+    std::vector<std::atomic<int>> hits(tasks);
+    crew.run(tasks, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < tasks; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "task " << i << " of " << tasks;
+    }
+  }
+}
+
+TEST(TickCrew, TaskRunsOnTheSameMemberEveryRun) {
+  // Task i belongs to member i % threads (member 0 is the caller), on
+  // every run: 1,000 back-to-back runs also exercise the release/done
+  // hand-off for lost wake-ups (a lost one hangs the test).
+  constexpr int kThreads = 3;
+  constexpr std::size_t kTasks = 7;
+  TickCrew crew(kThreads);
+  std::vector<std::thread::id> first(kTasks);
+  crew.run(kTasks, [&first](std::size_t i) {
+    first[i] = std::this_thread::get_id();
+  });
+  EXPECT_EQ(first[0], std::this_thread::get_id());
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(first[i], first[i % kThreads]) << "task " << i;
+  }
+  EXPECT_NE(first[0], first[1]);
+  EXPECT_NE(first[0], first[2]);
+  EXPECT_NE(first[1], first[2]);
+  int moved = 0;
+  for (int run = 0; run < 1000; ++run) {
+    std::vector<std::thread::id> ids(kTasks);
+    crew.run(kTasks,
+             [&ids](std::size_t i) { ids[i] = std::this_thread::get_id(); });
+    if (ids != first) ++moved;
+  }
+  EXPECT_EQ(moved, 0);
+}
+
+TEST(TickCrew, FewerTasksThanThreadsAndEmptyRuns) {
+  TickCrew crew(4);
+  std::atomic<int> count{0};
+  crew.run(0, [&count](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 0);
+  for (std::size_t tasks = 1; tasks < 4; ++tasks) {
+    count = 0;
+    crew.run(tasks, [&count](std::size_t) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), static_cast<int>(tasks));
+  }
+}
+
+TEST(TickCrew, OneThreadCrewRunsInlineInOrder) {
+  TickCrew crew(0);  // clamped to the caller alone
+  EXPECT_EQ(crew.threads(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  crew.run(5, [&order, caller](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(TickCrew, DestructorJoinsParkedHelpers) {
+  auto crew = std::make_unique<TickCrew>(3);
+  std::atomic<int> count{0};
+  crew->run(3, [&count](std::size_t) { count.fetch_add(1); });
+  // Well past the spin bound, so both helpers have parked.
+  std::this_thread::sleep_for(TickCrew::kSpinFor * 20);
+  crew.reset();  // hangs if a parked helper misses the stop
+  EXPECT_EQ(count.load(), 3);
+  TickCrew never_run(2);  // joined without ever being released
+}
+
+TEST(TickCrew, HelperExceptionRethrowsOnCallerAndCrewStaysUsable) {
+  TickCrew crew(2);
+  std::atomic<int> count{0};
+  const auto throw_on_helper = [&count](std::size_t i) {
+    if (i == 1) throw std::logic_error("task 1");  // member 1's task
+    count.fetch_add(1);
+  };
+  EXPECT_THROW(crew.run(4, throw_on_helper), std::logic_error);
+  // Member 1 stops at its throwing task (so task 3 is skipped); member 0
+  // finishes tasks 0 and 2.
+  EXPECT_EQ(count.load(), 2);
+  count = 0;
+  crew.run(4, [&count](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 4);
 }
 
 // ---------------------------------------------------------------- plan --
