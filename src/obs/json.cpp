@@ -214,17 +214,17 @@ class Parser {
     }
     const char c = text_[pos_];
     if (c == 'n') {
-      if (literal("null")) return Json(nullptr);
+      if (literal("null")) return std::make_optional<Json>(nullptr);
       fail("invalid literal");
       return std::nullopt;
     }
     if (c == 't') {
-      if (literal("true")) return Json(true);
+      if (literal("true")) return std::make_optional<Json>(true);
       fail("invalid literal");
       return std::nullopt;
     }
     if (c == 'f') {
-      if (literal("false")) return Json(false);
+      if (literal("false")) return std::make_optional<Json>(false);
       fail("invalid literal");
       return std::nullopt;
     }
@@ -333,7 +333,7 @@ class Parser {
       char* end = nullptr;
       const long long v = std::strtoll(token.c_str(), &end, 10);
       if (errno == 0 && end == token.c_str() + token.size()) {
-        return Json(static_cast<std::int64_t>(v));
+        return std::make_optional<Json>(static_cast<std::int64_t>(v));
       }
     }
     char* end = nullptr;
@@ -342,7 +342,7 @@ class Parser {
       fail("invalid number");
       return std::nullopt;
     }
-    return Json(d);
+    return std::make_optional<Json>(d);
   }
 
   std::optional<Json> parse_array() {

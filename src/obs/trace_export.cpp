@@ -71,7 +71,9 @@ std::optional<TraceEvent> TraceEvent::from_json(const Json& j) {
   ev.from = static_cast<da::NodeId>(from->as_int());
   ev.round = static_cast<int>(round->as_int());
   for (const Json& hop : path->as_array()) {
-    if (!hop.is_integer()) return std::nullopt;
+    if (!hop.is_integer() || !da::Path::holds(hop.as_int())) {
+      return std::nullopt;
+    }
     ev.path.push_back(static_cast<da::NodeId>(hop.as_int()));
   }
   if (value->is_null()) {

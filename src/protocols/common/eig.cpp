@@ -36,6 +36,16 @@ EigTree::EigTree(NodeId self, NodeId sender, std::vector<NodeId> nodes,
   present_.assign(layout_->size(), 0);
 }
 
+void EigTree::assign_values_from(const EigTree& other) {
+  // One layout instance per shape (EigLayout::get caches), so pointer
+  // equality is shape equality.
+  DA_EXPECTS(layout_ == other.layout_ && self_ == other.self_ &&
+             sender_ == other.sender_);
+  std::copy(other.values_.begin(), other.values_.end(), values_.begin());
+  std::copy(other.present_.begin(), other.present_.end(), present_.begin());
+  stored_ = other.stored_;
+}
+
 std::uint32_t EigTree::ordinal_of(const Path& path) const {
   DA_EXPECTS(!path.empty() && path.front() == sender_);
   DA_EXPECTS(static_cast<int>(path.size()) <= depth_);

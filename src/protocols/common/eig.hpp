@@ -84,6 +84,11 @@ class EigTree {
 
   [[nodiscard]] bool has(const Path& path) const;
 
+  /// Overwrites the stored values with `other`'s, reusing this tree's
+  /// storage. Only the values differ between trees of one shape, so the
+  /// shape (layout, sender, receiver) is contract-checked, not copied.
+  void assign_values_from(const EigTree& other);
+
   /// Fold the tree with `rule` starting from the root path [sender].
   [[nodiscard]] Value resolve(const Resolver& rule) const;
 

@@ -82,11 +82,9 @@ std::unique_ptr<sim::Process> EigProcess::clone() const {
 }
 
 void EigProcess::assign_from(const sim::Process& other) {
-  const auto& o = dynamic_cast<const EigProcess&>(other);
-  DA_EXPECTS(params_.self == o.params_.self &&
-             params_.sender == o.params_.sender &&
-             params_.depth == o.params_.depth);
-  tree_ = o.tree_;  // same shape: vector copy-assigns reuse capacity
+  // The tree checks that both processes share a shape (layout, sender,
+  // receiver) and copies only its values: no layout refcount traffic.
+  tree_.assign_values_from(dynamic_cast<const EigProcess&>(other).tree_);
 }
 
 std::vector<std::unique_ptr<sim::Process>> make_eig_processes(

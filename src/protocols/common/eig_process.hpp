@@ -40,7 +40,8 @@ class EigProcess final : public sim::Process {
   [[nodiscard]] Value decide() const override;
 
   /// Checkpoint/fork support: the flat EigTree arena makes both plain
-  /// vector copies (assign_from reuses the target's storage).
+  /// vector copies. `assign_from` copies only the stored values into the
+  /// target's storage and requires a process of the same tree shape.
   [[nodiscard]] std::unique_ptr<sim::Process> clone() const override;
   void assign_from(const sim::Process& other) override;
 

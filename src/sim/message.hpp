@@ -17,6 +17,9 @@ namespace da::sim {
 /// `path` is the relay chain used by EIG protocols (BYZ / OM / IC); for
 /// other payloads (clock readings, channel outputs) it is empty and `aux`
 /// carries auxiliary data.
+///
+/// 64 bytes, one cache line: the 16-bit hops of `Path` (26 bytes) fit
+/// between `round` and `value` without padding past the line.
 struct Message {
   NodeId from = kNoNode;
   NodeId to = kNoNode;
@@ -34,7 +37,14 @@ struct Message {
 /// by the metrics layer to account bits-on-wire: 4-byte from/to/round, a
 /// length-prefixed path (1 byte length + 1 byte per hop), a 1-byte value
 /// tag plus an 8-byte payload for non-default values, and an 8-byte aux
-/// field only when aux is nonzero.
-[[nodiscard]] std::size_t wire_size_bytes(const Message& msg);
+/// field only when aux is nonzero. Inline: the engine calls it once per
+/// delivered message.
+[[nodiscard]] inline std::size_t wire_size_bytes(const Message& msg) {
+  std::size_t bytes = 4 + 4 + 4;            // from, to, round
+  bytes += 1 + msg.path.size();             // path length + hops
+  bytes += msg.value.is_default() ? 1 : 9;  // value tag (+ payload)
+  if (msg.aux != 0) bytes += 8;
+  return bytes;
+}
 
 }  // namespace da::sim

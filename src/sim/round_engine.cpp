@@ -41,6 +41,22 @@ const obs::Quantile& round_ms_sketch() {
   return q;
 }
 
+/// The in-flight inboxes of one thread, shared by every engine stepped on
+/// it. `dispatch_pending()` claims them (`owner`), and the
+/// `process_round()` that follows on the same thread consumes the claim.
+struct InboxScratch {
+  std::vector<std::vector<Message>> inboxes;  // sized to the largest n seen
+  std::vector<Message> final_sends;           // final-round sends, discarded
+  const RoundEngine* owner = nullptr;  // engine whose dispatch filled them
+  std::uint64_t claim = 0;             // ... and which of its dispatches
+  bool delivering = false;             // a process_round is reading them
+};
+
+InboxScratch& inbox_scratch() {
+  thread_local InboxScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 RoundEngine::RoundEngine(std::vector<std::unique_ptr<Process>> processes,
@@ -54,8 +70,6 @@ RoundEngine::RoundEngine(std::vector<std::unique_ptr<Process>> processes,
   for (const auto& p : processes_) DA_EXPECTS(p->total_rounds() == rounds_);
   const std::size_t n = processes_.size();
   pending_.resize(n);
-  inflight_.resize(n);
-  delivered_.resize(n);
 }
 
 void RoundEngine::begin() {
@@ -70,7 +84,8 @@ void RoundEngine::begin() {
 }
 
 void RoundEngine::dispatch(std::vector<Message>& outbox, std::size_t i,
-                           int round, bool fabricated) {
+                           int round, bool fabricated,
+                           std::vector<std::vector<Message>>& inboxes) {
   const NodeId from = processes_[i]->id();
   const bool faulty = index_.faulty(i);
   // Metric deltas are batched per dispatch call — identical totals, one
@@ -91,7 +106,7 @@ void RoundEngine::dispatch(std::vector<Message>& outbox, std::size_t i,
     ++delivered;
     wire_bytes += wire_size_bytes(copy);
     if (options_.trace != nullptr) options_.trace->record(copy);
-    inflight_[to].push_back(copy);
+    inboxes[to].push_back(copy);
   };
 
   for (Message& msg : outbox) {
@@ -133,15 +148,31 @@ void RoundEngine::dispatch(std::vector<Message>& outbox, std::size_t i,
 
 void RoundEngine::dispatch_pending() {
   DA_EXPECTS(begun_ && !dispatched_ && !done());
-  for (std::size_t i = 0; i < processes_.size(); ++i) {
-    dispatch(pending_[i], i, pending_round_, /*fabricated=*/false);
+  InboxScratch& scratch = inbox_scratch();
+  // Nested stepping (a process or adversary driving another engine on
+  // this thread) would overwrite inboxes still being read.
+  DA_EXPECTS(!scratch.delivering);
+  // Claim the thread's inboxes. Clearing them drops whatever an earlier
+  // engine left behind when a dispatch or process_round threw, or when
+  // its dispatch was never processed; the claim is recorded only once
+  // the inboxes are full.
+  scratch.owner = nullptr;
+  const std::size_t n = processes_.size();
+  if (scratch.inboxes.size() < n) scratch.inboxes.resize(n);
+  for (std::size_t i = 0; i < n; ++i) scratch.inboxes[i].clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    dispatch(pending_[i], i, pending_round_, /*fabricated=*/false,
+             scratch.inboxes);
     pending_[i].clear();  // keep capacity for the next collect
     if (index_.faulty(i)) {
       std::vector<Message> fabricated =
           options_.adversary->fabricate(processes_[i]->id(), pending_round_);
-      dispatch(fabricated, i, pending_round_, /*fabricated=*/true);
+      dispatch(fabricated, i, pending_round_, /*fabricated=*/true,
+               scratch.inboxes);
     }
   }
+  scratch.owner = this;
+  scratch.claim = ++claim_;
   dispatched_ = true;
 }
 
@@ -149,19 +180,30 @@ void RoundEngine::process_round() {
   DA_EXPECTS(begun_ && dispatched_ && !done());
   rounds_counter().add();
   const obs::ScopedTimer round_timer(round_ms_sketch());
+  InboxScratch& scratch = inbox_scratch();
+  // The inboxes must hold this engine's latest dispatch: another engine
+  // dispatching on this thread in between, or a dispatch made on another
+  // thread, would deliver someone else's messages.
+  DA_EXPECTS(scratch.owner == this && scratch.claim == claim_ &&
+             !scratch.delivering);
+  scratch.owner = nullptr;  // the claim is consumed, even if on_round throws
+  scratch.delivering = true;
+  struct DeliveringGuard {
+    bool& flag;
+    ~DeliveringGuard() { flag = false; }
+  } const guard{scratch.delivering};
   const int r = rounds_processed_;
-  delivered_.swap(inflight_);  // inflight buffers are all empty (cleared)
   const bool last = r + 1 == rounds_;
   for (std::size_t i = 0; i < processes_.size(); ++i) {
-    std::vector<Message>& inbox = delivered_[i];
+    std::vector<Message>& inbox = scratch.inboxes[i];
     sort_inbox(inbox);
     // Outboxes collect straight into the held buffers (emptied by the
     // last dispatch, capacity kept). Sends of the final round are
-    // discarded, uncounted, so they go to one reused scratch buffer.
-    std::vector<Message>& out = last ? final_sends_ : pending_[i];
+    // discarded, uncounted, so they go to the thread's scratch buffer.
+    std::vector<Message>& out = last ? scratch.final_sends : pending_[i];
     processes_[i]->on_round(r, inbox, out);
-    final_sends_.clear();
-    inbox.clear();  // keep capacity for the round after next
+    scratch.final_sends.clear();
+    inbox.clear();  // keep capacity for the next engine on this thread
   }
   rounds_processed_ = r + 1;
   pending_round_ = r + 1;
@@ -223,8 +265,6 @@ void RoundEngine::restore(const Snapshot& snap) {
   }
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     pending_[i] = snap.pending[i];  // copy-assign: reuses capacity
-    inflight_[i].clear();
-    delivered_[i].clear();
   }
   pending_round_ = snap.pending_round;
   rounds_processed_ = snap.rounds_processed;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -36,6 +37,15 @@ namespace da::sim {
 /// adversary would have made the same (absent) round-0..k decisions, which
 /// docs/SEARCH.md's checkpoint-engine section spells out.
 ///
+/// An engine keeps resident only its processes and held outboxes. The
+/// in-flight inboxes, which hold messages only between a dispatch and the
+/// delivery that follows it, are per-thread scratch shared by every
+/// engine stepped on that thread: `dispatch_pending()` claims them and
+/// `process_round()` consumes the claim. So the two calls must run back
+/// to back on one thread, with no other engine dispatching in between;
+/// `process_round()` rejects anything else as a contract violation. A
+/// throw inside either call leaves the scratch usable by the next engine.
+///
 /// `run()` drives the phases to completion and is exactly `SyncRunner`'s
 /// loop — `SyncRunner::run()` now delegates here, so the two cannot drift.
 class RoundEngine {
@@ -48,12 +58,14 @@ class RoundEngine {
   void begin();
 
   /// Dispatches the held outboxes (adversary, network, routing) into the
-  /// receivers' next-round inboxes.
+  /// receivers' next-round inboxes, which are this thread's scratch.
   void dispatch_pending();
 
   /// Delivers the current round's inboxes, runs `on_round`, holds the
   /// next-round outboxes. After the final round there is nothing left to
-  /// dispatch and `done()` is true.
+  /// dispatch and `done()` is true. Must follow this engine's
+  /// `dispatch_pending()` on the same thread, with no other engine's
+  /// dispatch in between.
   void process_round();
 
   /// True once every round has been processed.
@@ -84,8 +96,10 @@ class RoundEngine {
   /// fault-injection network on admission (docs/SERVICE.md).
   void set_network(NetworkModel* network) { options_.network = network; }
 
-  /// Full engine state at a pre-dispatch boundary. Opaque to callers;
-  /// create with `snapshot()`, consume with `restore()`.
+  /// Full engine state at a pre-dispatch boundary: the processes, the
+  /// held outboxes and the counters (plus the trace prefix). There is no
+  /// in-flight state at that boundary, so none is captured. Opaque to
+  /// callers; create with `snapshot()`, consume with `restore()`.
   struct Snapshot {
     std::vector<std::unique_ptr<Process>> processes;
     std::vector<std::vector<Message>> pending;
@@ -99,8 +113,7 @@ class RoundEngine {
   };
 
   /// Captures the state. Legal only at a pre-dispatch boundary (after
-  /// `begin()` or `process_round()`, before `dispatch_pending()`), where
-  /// the in-flight buffers are empty by construction.
+  /// `begin()` or `process_round()`, before `dispatch_pending()`).
   [[nodiscard]] Snapshot snapshot() const;
 
   /// Rewinds this engine to `snap` (which must come from an engine over
@@ -110,7 +123,7 @@ class RoundEngine {
 
  private:
   void dispatch(std::vector<Message>& outbox, std::size_t i, int round,
-                bool fabricated);
+                bool fabricated, std::vector<std::vector<Message>>& inboxes);
 
   std::vector<std::unique_ptr<Process>> processes_;
   RunOptions options_;
@@ -121,15 +134,12 @@ class RoundEngine {
   // but not yet dispatched. `begun_` flips on begin(); `dispatched_`
   // tracks which phase is next.
   std::vector<std::vector<Message>> pending_;
-  std::vector<Message> final_sends_;  // final-round sends, discarded
   int pending_round_ = 0;
   bool begun_ = false;
   bool dispatched_ = false;
-
-  // In-flight inboxes for round `rounds_processed_` (filled by dispatch,
-  // consumed by process_round) and the spare buffer set they swap with.
-  std::vector<std::vector<Message>> inflight_;
-  std::vector<std::vector<Message>> delivered_;
+  // Number of this engine's dispatches; tags its claim on the thread's
+  // inboxes so `process_round()` can tell its latest dispatch apart.
+  std::uint64_t claim_ = 0;
   int rounds_processed_ = 0;
 
   std::size_t messages_sent_ = 0;

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "util/contracts.hpp"
@@ -15,15 +16,28 @@ namespace da {
 /// travelled through, starting at the original sender. Paths in BYZ(t,m)
 /// never repeat a node and never exceed m+1 hops, so a small inline array
 /// avoids per-message heap allocation in the simulator's hot path.
+///
+/// Hops are stored as 16-bit `Hop`s (26 bytes per path, which keeps
+/// `sim::Message` at one 64-byte cache line) but read back as `NodeId`:
+/// `push_back` rejects ids outside the `Hop` range as a contract
+/// violation, and `hash()` equals the hash of the same ids stored as
+/// `NodeId`.
 class Path {
  public:
+  using Hop = std::int16_t;
   static constexpr std::size_t kMaxLen = 12;
+
+  /// True if `id` fits a hop.
+  [[nodiscard]] static constexpr bool holds(std::int64_t id) noexcept {
+    return id >= std::numeric_limits<Hop>::min() &&
+           id <= std::numeric_limits<Hop>::max();
+  }
 
   constexpr Path() noexcept = default;
 
   Path(std::initializer_list<NodeId> ids) {
     DA_EXPECTS(ids.size() <= kMaxLen);
-    for (NodeId id : ids) nodes_[len_++] = id;
+    for (NodeId id : ids) push_back(id);
   }
 
   [[nodiscard]] constexpr std::size_t size() const noexcept { return len_; }
@@ -40,7 +54,8 @@ class Path {
 
   void push_back(NodeId id) {
     DA_EXPECTS(len_ < kMaxLen);
-    nodes_[len_++] = id;
+    DA_EXPECTS(holds(id));
+    nodes_[len_++] = static_cast<Hop>(id);
   }
 
   void pop_back() {
@@ -68,8 +83,9 @@ class Path {
     return p;
   }
 
-  [[nodiscard]] const NodeId* begin() const noexcept { return nodes_.data(); }
-  [[nodiscard]] const NodeId* end() const noexcept {
+  /// Iteration yields `Hop`s, which convert to `NodeId` losslessly.
+  [[nodiscard]] const Hop* begin() const noexcept { return nodes_.data(); }
+  [[nodiscard]] const Hop* end() const noexcept {
     return nodes_.data() + len_;
   }
 
@@ -96,14 +112,17 @@ class Path {
   [[nodiscard]] std::size_t hash() const noexcept {
     std::uint64_t h = 0x9e3779b97f4a7c15ULL;
     for (std::size_t i = 0; i < len_; ++i) {
-      h ^= static_cast<std::uint64_t>(nodes_[i]) + 0x9e3779b97f4a7c15ULL +
+      // Widen through NodeId: the hash is that of the NodeId sequence,
+      // which noise and fault-injection models derive decisions from.
+      h ^= static_cast<std::uint64_t>(static_cast<NodeId>(nodes_[i])) +
+           0x9e3779b97f4a7c15ULL +
            (h << 6) + (h >> 2);
     }
     return static_cast<std::size_t>(h ^ len_);
   }
 
  private:
-  std::array<NodeId, kMaxLen> nodes_{};
+  std::array<Hop, kMaxLen> nodes_{};
   std::uint8_t len_ = 0;
 };
 

@@ -14,7 +14,9 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +30,7 @@
 #include "obs/trace_export.hpp"
 #include "protocols/authenticated/signatures.hpp"
 #include "protocols/authenticated/sm.hpp"
+#include "protocols/common/eig_process.hpp"
 #include "protocols/crusader/crusader.hpp"
 #include "protocols/lamport/om.hpp"
 #include "sim/runner.hpp"
@@ -330,6 +333,192 @@ TEST(ForkEngine, SnapshotAtEveryRoundBoundary) {
     EXPECT_EQ(scratch, artifact_of(trace, engine.finish(), spec))
         << "restore to boundary " << b << " diverged";
   }
+}
+
+// ---------------------------------------------------------- engine guards
+//
+// In-flight inboxes are per-thread scratch claimed by dispatch_pending()
+// and consumed by process_round(); these tests hold the claim discipline.
+
+ScenarioSpec guard_spec() {
+  ScenarioSpec spec;
+  spec.config = Config{.n = 7, .m = 2, .u = 2};
+  spec.sender = 0;
+  spec.sender_value = Value::of(5);
+  spec.faulty = {1, 3};
+  return spec;
+}
+
+std::vector<std::unique_ptr<sim::Process>> guard_processes(
+    const ScenarioSpec& spec) {
+  return core::make_byz_processes(spec.config, spec.sender,
+                                  spec.sender_value);
+}
+
+/// Delegates to an EIG process, logs every inbox it is handed, and throws
+/// from on_round in `throw_round` (never when it is -1).
+class ProbeProcess final : public sim::Process {
+ public:
+  ProbeProcess(std::unique_ptr<sim::Process> inner, std::string& log,
+               int throw_round)
+      : inner_(std::move(inner)), log_(log), throw_round_(throw_round) {}
+  [[nodiscard]] NodeId id() const override { return inner_->id(); }
+  [[nodiscard]] int total_rounds() const override {
+    return inner_->total_rounds();
+  }
+  [[nodiscard]] std::vector<sim::Message> start() override {
+    return inner_->start();
+  }
+  void on_round(int round, const std::vector<sim::Message>& inbox,
+                std::vector<sim::Message>& out) override {
+    if (round == throw_round_) throw std::runtime_error("on_round failed");
+    for (const sim::Message& msg : inbox) log_ += msg.to_string() + "\n";
+    inner_->on_round(round, inbox, out);
+  }
+  [[nodiscard]] Value decide() const override { return inner_->decide(); }
+
+ private:
+  std::unique_ptr<sim::Process> inner_;
+  std::string& log_;
+  int throw_round_;
+};
+
+/// Behaves honestly but throws from fabricate() in `throw_round`, after
+/// the dispatch has filled part of the inboxes.
+class ThrowingFabricator final : public sim::Adversary {
+ public:
+  explicit ThrowingFabricator(int throw_round) : throw_round_(throw_round) {}
+  std::optional<sim::Message> corrupt(const sim::Message& msg) override {
+    return msg;
+  }
+  std::vector<sim::Message> fabricate(NodeId node, int round) override {
+    (void)node;
+    if (round == throw_round_) throw std::runtime_error("fabricate failed");
+    return {};
+  }
+
+ private:
+  int throw_round_;
+};
+
+/// One guard_spec() execution on a fresh engine: the traced artifact plus
+/// every inbox the processes were handed. Node `throw_node` throws from
+/// on_round in `throw_round`.
+std::string run_guard_engine(const ScenarioSpec& spec,
+                             sim::Adversary& adversary, NodeId throw_node = 0,
+                             int throw_round = -1) {
+  std::string inboxes;
+  auto procs = guard_processes(spec);
+  for (auto& p : procs) {
+    const int at = p->id() == throw_node ? throw_round : -1;
+    p = std::make_unique<ProbeProcess>(std::move(p), inboxes, at);
+  }
+  sim::Trace trace;
+  sim::RunOptions options;
+  options.faulty = spec.faulty;
+  options.adversary = &adversary;
+  options.trace = &trace;
+  sim::RoundEngine engine(std::move(procs), std::move(options));
+  const sim::RunResult result = engine.run();
+  return artifact_of(trace, result, spec) + "\n" + inboxes;
+}
+
+/// The reference result, computed on a thread of its own so its inbox
+/// scratch is fresh.
+std::string fresh_thread_reference(const ScenarioSpec& spec) {
+  std::string reference;
+  std::thread([&] {
+    const auto adversary = faults::equivocator(Value::of(5), Value::of(6));
+    reference = run_guard_engine(spec, *adversary);
+  }).join();
+  return reference;
+}
+
+TEST(EngineGuards, InterleavedDispatchIsContractError) {
+  const ScenarioSpec spec = guard_spec();
+  const auto adversary = faults::equivocator(Value::of(5), Value::of(6));
+  sim::RunOptions options;
+  options.faulty = spec.faulty;
+  options.adversary = adversary.get();
+  sim::RoundEngine a(guard_processes(spec), options);
+  sim::RoundEngine b(guard_processes(spec), options);
+  a.begin();
+  b.begin();
+  const sim::RoundEngine::Snapshot a_start = a.snapshot();
+
+  // B's dispatch reclaims the thread's inboxes, so A's delivery would
+  // read B's messages.
+  a.dispatch_pending();
+  b.dispatch_pending();
+  EXPECT_THROW(a.process_round(), std::logic_error);
+  b.process_round();  // B still holds the claim
+  EXPECT_EQ(b.rounds_processed(), 1);
+
+  // Delivery on a thread other than the dispatching one is refused, and
+  // leaves the dispatching thread's claim intact.
+  a.restore(a_start);
+  a.dispatch_pending();
+  std::thread([&] {
+    EXPECT_THROW(a.process_round(), std::logic_error);
+  }).join();
+  a.process_round();
+
+  // Both engines still run to the result of an undisturbed engine.
+  const sim::RunResult reference =
+      sim::RoundEngine(guard_processes(spec), options).run();
+  for (sim::RoundEngine* engine : {&a, &b}) {
+    run_to_completion(*engine);
+    const sim::RunResult result = engine->finish();
+    EXPECT_EQ(result.decisions, reference.decisions);
+    EXPECT_EQ(result.messages_delivered, reference.messages_delivered);
+  }
+}
+
+TEST(EngineGuards, ThrowInOnRoundDoesNotPoisonNextEngine) {
+  const ScenarioSpec spec = guard_spec();
+  const std::string reference = fresh_thread_reference(spec);
+  for (int throw_round = 0; throw_round < 3; ++throw_round) {
+    SCOPED_TRACE("throw_round=" + std::to_string(throw_round));
+    // Node 4 throws midway through delivery, so nodes 4 to 6 leave full
+    // inboxes in the thread's scratch.
+    const auto adversary = faults::equivocator(Value::of(5), Value::of(6));
+    EXPECT_THROW((void)run_guard_engine(spec, *adversary, 4, throw_round),
+                 std::runtime_error);
+    const auto next = faults::equivocator(Value::of(5), Value::of(6));
+    EXPECT_EQ(reference, run_guard_engine(spec, *next));
+  }
+}
+
+TEST(EngineGuards, ThrowInDispatchDoesNotPoisonNextEngine) {
+  const ScenarioSpec spec = guard_spec();
+  const std::string reference = fresh_thread_reference(spec);
+  for (int throw_round = 0; throw_round < 3; ++throw_round) {
+    SCOPED_TRACE("throw_round=" + std::to_string(throw_round));
+    // Faulty node 1 fabricates after nodes 0 and 1 have dispatched.
+    ThrowingFabricator thrower(throw_round);
+    EXPECT_THROW((void)run_guard_engine(spec, thrower), std::runtime_error);
+    const auto next = faults::equivocator(Value::of(5), Value::of(6));
+    EXPECT_EQ(reference, run_guard_engine(spec, *next));
+  }
+}
+
+TEST(EngineGuards, EigAssignFromRejectsOtherShapes) {
+  const auto resolver = std::make_shared<protocols::ByzResolver>(1);
+  const auto small = protocols::make_eig_processes(4, 0, Value::of(1), 2,
+                                                   resolver);
+  const auto large = protocols::make_eig_processes(7, 0, Value::of(1), 2,
+                                                   resolver);
+  EXPECT_THROW(small[1]->assign_from(*large[1]), std::logic_error);
+  EXPECT_THROW(large[1]->assign_from(*small[1]), std::logic_error);
+  // Same shape, different receiver or depth.
+  EXPECT_THROW(large[1]->assign_from(*large[2]), std::logic_error);
+  const auto deeper = protocols::make_eig_processes(7, 0, Value::of(1), 3,
+                                                    resolver);
+  EXPECT_THROW(large[1]->assign_from(*deeper[1]), std::logic_error);
+  // The matching process is accepted.
+  const auto twin = protocols::make_eig_processes(7, 0, Value::of(1), 2,
+                                                  resolver);
+  EXPECT_NO_THROW(large[1]->assign_from(*twin[1]));
 }
 
 // ------------------------------------- search equivalence and invariance

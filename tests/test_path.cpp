@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <unordered_set>
+
+#include "sim/message.hpp"
 
 namespace da {
 namespace {
@@ -80,6 +84,50 @@ TEST(Path, HashDistinguishesLengthPrefixes) {
   const Path c{1, 0, 0};
   EXPECT_NE(a.hash(), b.hash());
   EXPECT_NE(b.hash(), c.hash());
+}
+
+// One cache line per message: the engine's inboxes and outboxes are
+// vectors of these, walked once per delivered message.
+static_assert(sizeof(sim::Message) == 64);
+
+TEST(Path, HashMatchesNodeIdHops) {
+  // Hashes of the same paths when hops were stored as 32-bit NodeIds.
+  // Fault-injection and noise models derive decisions from Path::hash(),
+  // so digests and corpora depend on these exact values. -1, 42 and 99
+  // are hops the fuzz adversaries and admission tests send.
+  static_assert(sizeof(std::size_t) == 8);
+  const struct {
+    Path path;
+    std::uint64_t hash;
+  } pins[] = {
+      {Path{}, 0x9e3779b97f4a7c15ULL},
+      {Path{0}, 0xcd94bf3ecef65c4eULL},
+      {Path{0, 1, 2}, 0x4867edcb972afee5ULL},
+      {Path{0, -1}, 0xfb58c6023e697aaaULL},
+      {Path{-1}, 0xcd94bf3ecef65c4dULL},
+      {Path{42, 3}, 0xfb58c6023e696befULL},
+      {Path{0, 3, 99}, 0x4867edcb972afe86ULL},
+      {Path{0, 42, 99, -1}, 0x822b05d9b8ed6adeULL},
+      {Path{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 0xeab0e1825907885cULL},
+      {Path{32767, -32768}, 0xfb58c6023e481a66ULL},
+  };
+  for (const auto& pin : pins) {
+    EXPECT_EQ(pin.path.hash(), pin.hash) << pin.path.to_string();
+  }
+}
+
+TEST(Path, HopOutsideInt16RangeThrows) {
+  Path p;
+  EXPECT_THROW(p.push_back(std::numeric_limits<std::int16_t>::max() + 1),
+               std::logic_error);
+  EXPECT_THROW(p.push_back(std::numeric_limits<std::int16_t>::min() - 1),
+               std::logic_error);
+  EXPECT_THROW((Path{0, 70000}), std::logic_error);
+  EXPECT_TRUE(p.empty());  // a rejected hop is not stored
+  p.push_back(std::numeric_limits<std::int16_t>::min());
+  p.push_back(std::numeric_limits<std::int16_t>::max());
+  EXPECT_EQ(p[0], -32768);
+  EXPECT_EQ(p[1], 32767);
 }
 
 TEST(Path, ToString) {
