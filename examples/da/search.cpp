@@ -1,15 +1,7 @@
-// Resumable exhaustive behaviour certification from the command line:
-// initialize a serialized search frontier, run (or resume) it with a
-// shard budget, split it across files for distribution, merge the parts
-// back, and emit the final byte-deterministic artifact.
-//
-//   search_resume init    --out F [--n N --m M --u U] [--max-f K] [--seed S]
-//                         [--no-subset-symmetry]
-//   search_resume run     --frontier F [--jobs J] [--max-shards K]
-//   search_resume status  --frontier F
-//   search_resume split   --frontier F --parts P --out-prefix PFX
-//   search_resume merge   --out F part1 part2 ...
-//   search_resume artifact --frontier F [--out F2]
+// da search: resumable exhaustive behaviour certification. Initialize a
+// serialized search frontier, run (or resume) it with a shard budget,
+// split it across files for distribution, merge the parts back, and emit
+// the final byte-deterministic artifact.
 //
 // `init` writes a frontier for the fully quotiented `Reduction::kQuotient`
 // walk (da-frontier v2) by default; `--no-subset-symmetry` writes the
@@ -35,63 +27,40 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "faults/behavior_search.hpp"
 #include "faults/frontier.hpp"
 
+namespace da::cli {
 namespace {
 
-[[noreturn]] void usage(const char* msg) {
-  std::fprintf(stderr, "search_resume: %s\n", msg);
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  search_resume init    --out F [--n N --m M --u U] [--max-f K] "
-      "[--seed S]\n"
-      "                        [--no-subset-symmetry]\n"
-      "  search_resume run     --frontier F [--jobs J] [--max-shards K]\n"
-      "  search_resume status  --frontier F\n"
-      "  search_resume split   --frontier F --parts P --out-prefix PFX\n"
-      "  search_resume merge   --out F part1 part2 ...\n"
-      "  search_resume artifact --frontier F [--out F2]\n");
-  std::exit(2);
-}
-
-int parse_int(const char* flag, const char* arg) {
-  char* end = nullptr;
-  const long v = std::strtol(arg, &end, 10);
-  if (end == arg || *end != '\0') usage(flag);
-  return static_cast<int>(v);
-}
-
-da::faults::Frontier load_or_die(const std::string& path) {
-  da::faults::FrontierParse parsed = da::faults::load_frontier(path);
+faults::Frontier load_or_die(const std::string& path) {
+  faults::FrontierParse parsed = faults::load_frontier(path);
   if (!parsed.ok()) {
-    std::fprintf(stderr, "search_resume: %s: %s\n", path.c_str(),
+    std::fprintf(stderr, "da search: %s: %s\n", path.c_str(),
                  parsed.error.c_str());
     std::exit(2);
   }
   return *std::move(parsed.frontier);
 }
 
-void save_or_die(const da::faults::Frontier& frontier,
-                 const std::string& path) {
-  if (!da::faults::save_frontier(frontier, path)) {
-    std::fprintf(stderr, "search_resume: cannot write %s\n", path.c_str());
+void save_or_die(const faults::Frontier& frontier, const std::string& path) {
+  if (!faults::save_frontier(frontier, path)) {
+    std::fprintf(stderr, "da search: cannot write %s\n", path.c_str());
     std::exit(2);
   }
 }
 
-void print_status(const da::faults::Frontier& frontier) {
+void print_status(const faults::Frontier& frontier) {
   std::size_t settled = 0;
   std::uint64_t scanned = 0;
   std::uint64_t covered = 0;
   std::uint64_t executions = 0;
   std::uint64_t weighted = 0;
-  for (const da::faults::FrontierShard& s : frontier.shards) {
+  for (const faults::FrontierShard& s : frontier.shards) {
     if (s.settled()) ++settled;
     scanned += s.cursor - s.begin;
     covered += s.end - s.begin;
@@ -142,7 +111,7 @@ void print_status(const da::faults::Frontier& frontier) {
                 frontier.shards.size() - settled);
   }
   const std::uint64_t hit = frontier.best_hit();
-  if (hit == da::sweep::kNoHit) {
+  if (hit == sweep::kNoHit) {
     std::printf("verdict       %s\n",
                 frontier.settled() ? "clean (settled)" : "no hit yet");
   } else {
@@ -153,18 +122,18 @@ void print_status(const da::faults::Frontier& frontier) {
 }
 
 int cmd_run(const std::string& path, int jobs, int max_shards) {
-  da::faults::Frontier frontier = load_or_die(path);
-  da::faults::FrontierRunOptions options;
+  faults::Frontier frontier = load_or_die(path);
+  faults::FrontierRunOptions options;
   options.jobs = jobs;
   options.max_shards = max_shards;
-  options.checkpoint = [&path](const da::faults::Frontier& snapshot) {
+  options.checkpoint = [&path](const faults::Frontier& snapshot) {
     // Best-effort incremental checkpoint; the final state is saved below.
-    (void)da::faults::save_frontier(snapshot, path);
+    (void)faults::save_frontier(snapshot, path);
   };
-  const da::faults::FrontierRun run =
-      da::faults::run_behavior_frontier(frontier, options);
+  const faults::FrontierRun run =
+      faults::run_behavior_frontier(frontier, options);
   if (!run.error.empty()) {
-    std::fprintf(stderr, "search_resume: %s\n", run.error.c_str());
+    std::fprintf(stderr, "da search: %s\n", run.error.c_str());
     return 2;
   }
   save_or_die(frontier, path);
@@ -175,14 +144,14 @@ int cmd_run(const std::string& path, int jobs, int max_shards) {
     // part of the frontier (artifacts stay machine-independent).
     double wall_ms = 0.0;
     std::size_t timed = 0;
-    for (const da::sweep::ShardStats& s : run.stats.per_shard) {
+    for (const sweep::ShardStats& s : run.stats.per_shard) {
       if (s.worker >= 0 && s.cursor == s.end) {
         wall_ms += s.wall_ms;
         ++timed;
       }
     }
     std::size_t remaining = 0;
-    for (const da::faults::FrontierShard& s : frontier.shards) {
+    for (const faults::FrontierShard& s : frontier.shards) {
       if (!s.settled()) ++remaining;
     }
     if (timed > 0 && remaining > 0) {
@@ -203,20 +172,20 @@ int cmd_run(const std::string& path, int jobs, int max_shards) {
 }
 
 int cmd_artifact(const std::string& path, const std::string& out) {
-  da::faults::Frontier frontier = load_or_die(path);
+  faults::Frontier frontier = load_or_die(path);
   if (!frontier.settled()) {
     std::fprintf(stderr,
-                 "search_resume: frontier not settled; run it to completion "
+                 "da search: frontier not settled; run it to completion "
                  "(or merge all split parts) first\n");
     return 1;
   }
   frontier.normalize();
   std::string artifact = serialize_frontier(frontier);
   const std::uint64_t hit = frontier.best_hit();
-  if (hit == da::sweep::kNoHit) {
+  if (hit == sweep::kNoHit) {
     artifact += "verdict clean\n";
   } else {
-    const auto violation = da::faults::behavior_at(
+    const auto violation = faults::behavior_at(
         frontier.config, frontier.max_f, hit);
     artifact += "verdict violation " + std::to_string(hit) + " " +
                 (violation.has_value() ? violation->adversary : "?") + "\n";
@@ -227,7 +196,7 @@ int cmd_artifact(const std::string& path, const std::string& out) {
   }
   std::FILE* f = std::fopen(out.c_str(), "w");
   if (f == nullptr || std::fputs(artifact.c_str(), f) < 0) {
-    std::fprintf(stderr, "search_resume: cannot write %s\n", out.c_str());
+    std::fprintf(stderr, "da search: cannot write %s\n", out.c_str());
     if (f != nullptr) std::fclose(f);
     return 2;
   }
@@ -237,114 +206,90 @@ int cmd_artifact(const std::string& path, const std::string& out) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (argc < 2) usage("missing subcommand");
-  const std::string cmd = argv[1];
+int search_cmd(const Args& args) {
   std::string frontier_path;
   std::string out;
   std::string out_prefix;
-  std::vector<std::string> positional;
   int n = 4;
   int m = 1;
   int u = 1;
   int max_f = -1;
-  int seed = 1;
+  std::uint64_t seed = 1;
   int jobs = 1;
   int parts = 0;
   int max_shards = -1;
-  da::faults::Reduction reduction = da::faults::Reduction::kQuotient;
-  for (int i = 2; i < argc; ++i) {
-    const char* arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage(arg);
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--frontier") == 0) {
-      frontier_path = value();
-    } else if (std::strcmp(arg, "--out") == 0) {
-      out = value();
-    } else if (std::strcmp(arg, "--out-prefix") == 0) {
-      out_prefix = value();
-    } else if (std::strcmp(arg, "--n") == 0) {
-      n = parse_int(arg, value());
-    } else if (std::strcmp(arg, "--m") == 0) {
-      m = parse_int(arg, value());
-    } else if (std::strcmp(arg, "--u") == 0) {
-      u = parse_int(arg, value());
-    } else if (std::strcmp(arg, "--max-f") == 0) {
-      max_f = parse_int(arg, value());
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      seed = parse_int(arg, value());
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      jobs = parse_int(arg, value());
-    } else if (std::strcmp(arg, "--parts") == 0) {
-      parts = parse_int(arg, value());
-    } else if (std::strcmp(arg, "--max-shards") == 0) {
-      max_shards = parse_int(arg, value());
-    } else if (std::strcmp(arg, "--no-subset-symmetry") == 0) {
-      reduction = da::faults::Reduction::kOrbits;
-    } else if (arg[0] == '-') {
-      usage(arg);
-    } else {
-      positional.emplace_back(arg);
-    }
+  bool no_subset_symmetry = false;
+  const Args pos = Flags()
+                       .text("--frontier", frontier_path)
+                       .text("--out", out)
+                       .text("--out-prefix", out_prefix)
+                       .integer("--n", n)
+                       .integer("--m", m)
+                       .integer("--u", u)
+                       .integer("--max-f", max_f, -1)
+                       .integer("--seed", seed)
+                       .integer("--jobs", jobs)
+                       .integer("--parts", parts)
+                       .integer("--max-shards", max_shards, -1)
+                       .toggle("--no-subset-symmetry", no_subset_symmetry)
+                       .parse(args);
+  const std::string verb = pos.empty() ? "" : pos[0];
+  if (verb != "merge" && pos.size() > 1) {
+    throw UsageError("unexpected argument " + pos[1]);
   }
-
-  if (cmd == "init") {
-    if (out.empty()) usage("init needs --out");
-    const da::Config config{.n = n, .m = m, .u = u};
-    if (!config.valid() || config.m > 1) usage("invalid config");
-    const da::faults::Frontier frontier = da::faults::init_behavior_frontier(
-        config, max_f, static_cast<std::uint64_t>(seed), reduction);
+  if (verb == "init") {
+    if (out.empty()) throw UsageError("init needs --out");
+    const Config config{.n = n, .m = m, .u = u};
+    if (!config.valid() || config.m > 1) throw UsageError("invalid config");
+    const faults::Frontier frontier = faults::init_behavior_frontier(
+        config, max_f, seed,
+        no_subset_symmetry ? faults::Reduction::kOrbits
+                           : faults::Reduction::kQuotient);
     save_or_die(frontier, out);
     print_status(frontier);
     return 0;
   }
-  if (cmd == "run") {
-    if (frontier_path.empty()) usage("run needs --frontier");
-    return cmd_run(frontier_path, jobs, max_shards);
-  }
-  if (cmd == "status") {
-    if (frontier_path.empty()) usage("status needs --frontier");
-    print_status(load_or_die(frontier_path));
-    return 0;
-  }
-  if (cmd == "split") {
-    if (frontier_path.empty() || parts <= 0 || out_prefix.empty()) {
-      usage("split needs --frontier, --parts and --out-prefix");
+  if (verb == "merge") {
+    if (out.empty() || pos.size() < 2) {
+      throw UsageError("merge needs --out and part files");
     }
-    const da::faults::Frontier frontier = load_or_die(frontier_path);
-    const std::vector<da::faults::Frontier> split = da::faults::split_frontier(
-        frontier, static_cast<std::size_t>(parts));
-    for (std::size_t i = 0; i < split.size(); ++i) {
-      save_or_die(split[i], out_prefix + std::to_string(i));
+    std::vector<faults::Frontier> frontiers;
+    frontiers.reserve(pos.size() - 1);
+    for (std::size_t i = 1; i < pos.size(); ++i) {
+      frontiers.push_back(load_or_die(pos[i]));
     }
-    std::printf("split %zu shards into %zu parts\n", frontier.shards.size(),
-                split.size());
-    return 0;
-  }
-  if (cmd == "merge") {
-    if (out.empty() || positional.empty()) {
-      usage("merge needs --out and part files");
-    }
-    std::vector<da::faults::Frontier> frontiers;
-    frontiers.reserve(positional.size());
-    for (const std::string& path : positional) {
-      frontiers.push_back(load_or_die(path));
-    }
-    da::faults::FrontierParse merged = da::faults::merge_frontiers(frontiers);
+    faults::FrontierParse merged = faults::merge_frontiers(frontiers);
     if (!merged.ok()) {
-      std::fprintf(stderr, "search_resume: merge: %s\n",
-                   merged.error.c_str());
+      std::fprintf(stderr, "da search: merge: %s\n", merged.error.c_str());
       return 2;
     }
     save_or_die(*merged.frontier, out);
     print_status(*merged.frontier);
     return 0;
   }
-  if (cmd == "artifact") {
-    if (frontier_path.empty()) usage("artifact needs --frontier");
-    return cmd_artifact(frontier_path, out);
+  if (verb != "run" && verb != "status" && verb != "split" &&
+      verb != "artifact") {
+    throw UsageError(verb.empty() ? "missing verb" : "unknown verb " + verb);
   }
-  usage("unknown subcommand");
+  if (frontier_path.empty()) throw UsageError(verb + " needs --frontier");
+  if (verb == "run") return cmd_run(frontier_path, jobs, max_shards);
+  if (verb == "artifact") return cmd_artifact(frontier_path, out);
+  if (verb == "split" && (parts <= 0 || out_prefix.empty())) {
+    throw UsageError("split needs --parts and --out-prefix");
+  }
+  const faults::Frontier frontier = load_or_die(frontier_path);
+  if (verb == "status") {
+    print_status(frontier);
+    return 0;
+  }
+  const std::vector<faults::Frontier> split =
+      faults::split_frontier(frontier, static_cast<std::size_t>(parts));
+  for (std::size_t i = 0; i < split.size(); ++i) {
+    save_or_die(split[i], out_prefix + std::to_string(i));
+  }
+  std::printf("split %zu shards into %zu parts\n", frontier.shards.size(),
+              split.size());
+  return 0;
 }
+
+}  // namespace da::cli

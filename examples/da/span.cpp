@@ -1,40 +1,30 @@
-// Inspect causal span exports from the agreement service (src/obs/spans,
-// docs/OBSERVABILITY.md "Spans").
-//
-//   span_inspect demo <outdir>            run a small fault-injected
-//                                         service, write spans.jsonl,
-//                                         metrics.prom, samples.csv and
-//                                         plan.txt into <outdir>
-//   span_inspect timeline <spans.jsonl> [--job N] [--plan plan.txt]
-//                                         reconstruct one job's full
-//                                         admit -> rounds -> decide
-//                                         timeline, attributing observed
-//                                         perturbation to FaultPlan rules
-//   span_inspect quantiles <spans.jsonl>  per-span-name duration
-//                                         percentile table (streaming
-//                                         QuantileSketch estimates)
-//   span_inspect check <spans.jsonl>      validate the export: unique ids,
-//                                         resolvable parents, ordered
-//                                         windows, canonical sort
-//   span_inspect schema                   print the JSONL field reference
+// da span: inspect causal span exports from the agreement service
+// (src/obs/spans.hpp, docs/OBSERVABILITY.md "Spans"). `demo` runs a small
+// fault-injected service and writes spans.jsonl, metrics.prom,
+// samples.csv and plan.txt; `timeline` reconstructs one job's admit ->
+// rounds -> decide timeline, attributing observed perturbation to
+// FaultPlan rules; `quantiles` prints per-span-name duration percentiles
+// (streaming QuantileSketch estimates); `check` validates an export
+// (unique ids, resolvable parents, ordered windows, canonical sort);
+// `schema` prints the JSONL field reference.
 //
 // Exit status: 0 on success; 1 when `check` finds a violation, the demo
 // run reports condition violations, or an input fails to parse.
 
 #include <algorithm>
-#include <cmath>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <system_error>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
+#include "cli.hpp"
 #include "core/checker.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
@@ -42,37 +32,25 @@
 #include "obs/spans.hpp"
 #include "service/service.hpp"
 
+namespace da::cli {
 namespace {
 
-using da::obs::Span;
+using obs::Span;
 
-[[noreturn]] void usage(const char* msg) {
-  std::fprintf(stderr, "span_inspect: %s\n", msg);
-  std::fprintf(stderr,
-               "usage: span_inspect demo <outdir>\n"
-               "       span_inspect timeline <spans.jsonl> [--job N] "
-               "[--plan plan.txt]\n"
-               "       span_inspect quantiles <spans.jsonl>\n"
-               "       span_inspect check <spans.jsonl>\n"
-               "       span_inspect schema\n");
-  std::exit(2);
-}
-
-std::vector<Span> load_spans(const char* path) {
+std::optional<std::vector<Span>> load_spans(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
-    std::fprintf(stderr, "span_inspect: cannot open %s\n", path);
-    std::exit(1);
+    std::fprintf(stderr, "da span: cannot open %s\n", path.c_str());
+    return std::nullopt;
   }
   std::ostringstream buf;
   buf << in.rdbuf();
   std::string error;
-  auto spans = da::obs::read_spans_jsonl(buf.str(), &error);
+  auto spans = obs::read_spans_jsonl(buf.str(), &error);
   if (!spans.has_value()) {
-    std::fprintf(stderr, "span_inspect: %s: %s\n", path, error.c_str());
-    std::exit(1);
+    std::fprintf(stderr, "da span: %s: %s\n", path.c_str(), error.c_str());
   }
-  return *std::move(spans);
+  return spans;
 }
 
 std::int64_t tag_of(const Span& span, const char* key, std::int64_t fallback) {
@@ -94,7 +72,7 @@ std::string tags_line(const Span& span, const char* skip = nullptr) {
 
 /// The scripted-rule lines of a fault-plan text file, in declaration
 /// order, so `rule<k>` span tags can be labelled with the rule they index.
-std::vector<std::string> plan_rule_lines(const char* path) {
+std::vector<std::string> plan_rule_lines(const std::string& path) {
   std::vector<std::string> rules;
   std::ifstream in(path);
   std::string line;
@@ -112,13 +90,13 @@ std::vector<std::string> plan_rule_lines(const char* path) {
 
 // ---------------------------------------------------------------- demo --
 
-int run_demo(const char* outdir) {
-  using namespace da::service;
+int run_demo(const std::string& dir) {
+  using namespace service;
 
   std::error_code mkdir_error;
-  std::filesystem::create_directories(outdir, mkdir_error);
+  std::filesystem::create_directories(dir, mkdir_error);
   if (mkdir_error) {
-    std::fprintf(stderr, "span_inspect: cannot create %s: %s\n", outdir,
+    std::fprintf(stderr, "da span: cannot create %s: %s\n", dir.c_str(),
                  mkdir_error.message().c_str());
     return 1;
   }
@@ -132,9 +110,9 @@ int run_demo(const char* outdir) {
       "drop from=2 to=1 round=1\n"
       "delay from=3 to=* round=*\n";
   std::string plan_error;
-  auto plan = da::inject::FaultPlan::parse(plan_text, &plan_error);
+  auto plan = inject::FaultPlan::parse(plan_text, &plan_error);
   if (!plan.has_value()) {
-    std::fprintf(stderr, "span_inspect: demo plan: %s\n", plan_error.c_str());
+    std::fprintf(stderr, "da span: demo plan: %s\n", plan_error.c_str());
     return 1;
   }
 
@@ -145,8 +123,8 @@ int run_demo(const char* outdir) {
   config.round_period = 1.0;
   config.seed = 7;
   config.jobs = 1;
-  config.mix.push_back({JobKind::kByz, da::Config{.n = 7, .m = 1, .u = 4}, 0,
-                        da::Value::of(17), {2, 3}});
+  config.mix.push_back({JobKind::kByz, Config{.n = 7, .m = 1, .u = 4}, 0,
+                        Value::of(17), {2, 3}});
   config.record_spans = true;
   config.sample_every = 2.0;
   config.fault_plan = *plan;
@@ -154,17 +132,16 @@ int run_demo(const char* outdir) {
 
   const ServiceResult result = run_service(config);
 
-  const std::string dir = outdir;
   const std::string spans_path = dir + "/spans.jsonl";
-  if (!da::obs::write_spans_jsonl(result.spans, spans_path)) {
-    std::fprintf(stderr, "span_inspect: cannot write %s\n",
+  if (!obs::write_spans_jsonl(result.spans, spans_path)) {
+    std::fprintf(stderr, "da span: cannot write %s\n",
                  spans_path.c_str());
     return 1;
   }
   const std::string prom_path = dir + "/metrics.prom";
-  if (!da::obs::write_exposition(da::obs::MetricsRegistry::global().snapshot(),
+  if (!obs::write_exposition(obs::MetricsRegistry::global().snapshot(),
                                  prom_path)) {
-    std::fprintf(stderr, "span_inspect: cannot write %s\n", prom_path.c_str());
+    std::fprintf(stderr, "da span: cannot write %s\n", prom_path.c_str());
     return 1;
   }
   {
@@ -229,7 +206,7 @@ int run_timeline(const std::vector<Span>& spans, std::int64_t want_job,
     if (s.name == "round") rounds[s.sub].push_back(&s);
   }
   if (job == nullptr) {
-    std::fprintf(stderr, "span_inspect: no job span for job %lld\n",
+    std::fprintf(stderr, "da span: no job span for job %lld\n",
                  static_cast<long long>(want_job));
     return 1;
   }
@@ -255,17 +232,20 @@ int run_timeline(const std::vector<Span>& spans, std::int64_t want_job,
       std::printf("    round %-3d [%.6f, %.6f]  %s\n", r->round, r->t0, r->t1,
                   tags_line(*r).c_str());
       for (const auto& [k, v] : r->tags) {
-        if (k.rfind("rule", 0) == 0 && k.size() > 4) {
-          rule_totals[std::atoi(k.c_str() + 4)] += v;
+        int rule = 0;
+        if (k.rfind("rule", 0) == 0 &&
+            std::from_chars(k.data() + 4, k.data() + k.size(), rule).ec ==
+                std::errc{}) {
+          rule_totals[rule] += v;
         }
       }
     }
   }
   if (decide != nullptr) {
-    const auto cond = static_cast<da::Condition>(tag_of(*decide, "cond", 0));
+    const auto cond = static_cast<Condition>(tag_of(*decide, "cond", 0));
     std::printf("  decide   at %.6f  %s  condition=%s\n", decide->t0,
                 tag_of(*decide, "ok", 1) != 0 ? "ok" : "VIOLATED",
-                da::to_string(cond));
+                to_string(cond));
   }
   if (!rule_totals.empty()) {
     std::printf("  fault attribution:\n");
@@ -284,7 +264,7 @@ int run_timeline(const std::vector<Span>& spans, std::int64_t want_job,
 // ----------------------------------------------------------- quantiles --
 
 int run_quantiles(const std::vector<Span>& spans) {
-  std::map<std::string, da::obs::QuantileSketch> by_name;
+  std::map<std::string, obs::QuantileSketch> by_name;
   for (const Span& s : spans) by_name[s.name].record(s.t1 - s.t0);
   std::printf("%-8s %8s %10s %10s %10s %10s %10s\n", "span", "count", "min",
               "p50", "p90", "p99", "max");
@@ -327,7 +307,7 @@ int run_check(const std::vector<Span>& spans) {
     }
   }
   std::vector<Span> sorted = spans;
-  da::obs::canonicalize(sorted);
+  obs::canonicalize(sorted);
   if (sorted != spans) fail("spans are not in canonical order");
 
   if (errors == 0) {
@@ -363,33 +343,26 @@ int run_schema() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (argc < 2) usage("missing subcommand");
-  const char* cmd = argv[1];
-
-  if (std::strcmp(cmd, "schema") == 0) return run_schema();
-  if (std::strcmp(cmd, "demo") == 0) {
-    if (argc != 3) usage("demo expects an output directory");
-    return run_demo(argv[2]);
+int span_cmd(const Args& args) {
+  std::int64_t job = -1;
+  std::string plan;
+  const Args pos =
+      Flags().integer("--job", job).text("--plan", plan).parse(args);
+  const std::string verb = pos.empty() ? "" : pos[0];
+  if (verb == "schema" && pos.size() == 1) return run_schema();
+  if (verb == "demo" && pos.size() == 2) return run_demo(pos[1]);
+  if (pos.size() != 2 ||
+      (verb != "timeline" && verb != "quantiles" && verb != "check")) {
+    throw UsageError(verb.empty() ? "missing verb"
+                                  : "bad arguments for " + verb);
   }
-  if (argc < 3) usage("missing spans.jsonl path");
-  const std::vector<Span> spans = load_spans(argv[2]);
-
-  if (std::strcmp(cmd, "quantiles") == 0) return run_quantiles(spans);
-  if (std::strcmp(cmd, "check") == 0) return run_check(spans);
-  if (std::strcmp(cmd, "timeline") == 0) {
-    std::int64_t job = -1;
-    std::vector<std::string> rule_labels;
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--job") == 0 && i + 1 < argc) {
-        job = std::atoll(argv[++i]);
-      } else if (std::strcmp(argv[i], "--plan") == 0 && i + 1 < argc) {
-        rule_labels = plan_rule_lines(argv[++i]);
-      } else {
-        usage(argv[i]);
-      }
-    }
-    return run_timeline(spans, job, rule_labels);
-  }
-  usage(cmd);
+  const auto spans = load_spans(pos[1]);
+  if (!spans.has_value()) return 1;
+  if (verb == "quantiles") return run_quantiles(*spans);
+  if (verb == "check") return run_check(*spans);
+  return run_timeline(*spans, job,
+                      plan.empty() ? std::vector<std::string>{}
+                                   : plan_rule_lines(plan));
 }
+
+}  // namespace da::cli

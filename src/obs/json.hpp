@@ -16,7 +16,7 @@ namespace da::obs {
 /// an integer/double distinction so counters round-trip exactly.
 ///
 /// This is deliberately small — just enough for the bench `--json`
-/// reports, the JSONL trace export and the `trace_inspect` CLI. It is not
+/// reports, the JSONL trace export and the `da trace` CLI. It is not
 /// a general-purpose JSON library (no comments, no NaN/Infinity: non-finite
 /// doubles serialize as null).
 class Json {

@@ -35,8 +35,8 @@ inline constexpr int kAdmissionClassCount = 3;
 
 [[nodiscard]] const char* to_string(AdmissionClass cls);
 
-/// Parses "high" / "normal" / "low" (the `service_demo --class`
-/// vocabulary); nullopt on anything else.
+/// Parses "high" / "normal" / "low" (the names `to_string` prints);
+/// nullopt on anything else.
 [[nodiscard]] std::optional<AdmissionClass> parse_admission_class(
     std::string_view name);
 

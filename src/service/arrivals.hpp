@@ -30,7 +30,7 @@ enum class ArrivalKind {
 
 [[nodiscard]] const char* to_string(ArrivalKind kind);
 
-/// Parses "poisson" / "bursty" / "pareto" (the `service_demo --model`
+/// Parses "poisson" / "bursty" / "pareto" (the `da service --model`
 /// vocabulary); nullopt on anything else.
 [[nodiscard]] std::optional<ArrivalKind> parse_arrival_kind(
     std::string_view name);

@@ -47,7 +47,7 @@ enum class RoutePolicy {
 
 [[nodiscard]] const char* to_string(RoutePolicy policy);
 
-/// Parses "hash" / "least-loaded" (the `service_demo --route`
+/// Parses "hash" / "least-loaded" (the `da service --route`
 /// vocabulary); nullopt on anything else.
 [[nodiscard]] std::optional<RoutePolicy> parse_route_policy(
     std::string_view name);

@@ -128,7 +128,7 @@ std::string inst_span_id(std::uint64_t job, int sub) {
 
 /// Appends nonzero injection tallies (`base == nullptr`: totals; else the
 /// delta since `base`) as `inj_*` / `rule<k>` span tags — the correlation
-/// handles span_inspect uses to attribute delay to a FaultPlan rule.
+/// handles `da span timeline` uses to attribute delay to a FaultPlan rule.
 void add_injection_tags(
     std::vector<std::pair<std::string, std::int64_t>>& tags,
     const inject::InjectionStats& cur, const inject::InjectionStats* base) {
@@ -187,6 +187,11 @@ int condition_rank(Condition c) {
   return 0;
 }
 
+/// Slots a job of this template holds while active.
+int slot_width(const JobTemplate& tmpl) {
+  return tmpl.kind == JobKind::kIc ? tmpl.config.n : 1;
+}
+
 }  // namespace
 
 const char* to_string(JobKind kind) {
@@ -233,6 +238,24 @@ std::vector<JobTemplate> default_mix() {
   mix.push_back({JobKind::kIc, Config{.n = 4, .m = 1, .u = 1}, 0,
                  Value::of(17), {3}, AdmissionClass::kNormal, 0.0});
   return mix;
+}
+
+std::optional<std::string> ServiceConfig::validate() const {
+  if (cap < 1) return "cap must be >= 1, got " + std::to_string(cap);
+  if (!(round_period > 0.0)) return "round period must be > 0";
+  if (inject_every < 1) return "inject_every must be >= 1";
+  if (!(sample_every >= 0.0)) return "sample_every must be >= 0";
+  for (const JobTemplate& tmpl : mix.empty() ? default_mix() : mix) {
+    if (!tmpl.config.valid()) {
+      return "template " + tmpl.to_string() + " has an invalid config";
+    }
+    if (slot_width(tmpl) > cap) {
+      return "template " + tmpl.to_string() + " holds " +
+             std::to_string(slot_width(tmpl)) + " slots, above cap " +
+             std::to_string(cap);
+    }
+  }
+  return std::nullopt;
 }
 
 int draw_template_index(std::uint64_t seed, std::uint64_t id,
@@ -329,8 +352,7 @@ void AgreementService::build_shapes() {
     // the engine cannot execute (e.g. n=2, m=1) is refused here, not by
     // a contract failure rounds deep in EIG setup.
     if (!tmpl.config.engine_runnable()) throw UnsupportedConfig(tmpl.config);
-    const int width =
-        tmpl.kind == JobKind::kIc ? tmpl.config.n : 1;
+    const int width = slot_width(tmpl);
     DA_EXPECTS(width <= config_.cap);  // a wider job could never admit
     for (int sub = 0; sub < width; ++sub) {
       auto shape = std::make_unique<Shape>();

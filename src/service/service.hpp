@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -142,6 +143,12 @@ struct ServiceConfig {
   inject::FaultPlan fault_plan{};
   /// Every k-th job (id % k == 0) runs under `fault_plan`; 1 = every job.
   std::uint64_t inject_every = 1;
+
+  /// The checks the `AgreementService` constructor enforces as contracts
+  /// (cap, round period, injection stride, sample period, well-formed
+  /// templates no wider than the cap), as a typed rejection: the first
+  /// problem, or nullopt when the config is sound.
+  [[nodiscard]] std::optional<std::string> validate() const;
 };
 
 /// Outcome of one job, in virtual time. `admitted`/`completed` are

@@ -367,6 +367,32 @@ TEST(Service, DefaultMixShapesAreFeasible) {
   }
 }
 
+TEST(Service, ValidateRejectsOneConfigPerRule) {
+  EXPECT_EQ(ServiceConfig{}.validate(), std::nullopt);
+  const auto rejects = [](auto&& mutate, const char* needle) {
+    ServiceConfig config;
+    mutate(config);
+    const auto problem = config.validate();
+    ASSERT_TRUE(problem.has_value()) << needle;
+    EXPECT_NE(problem->find(needle), std::string::npos) << *problem;
+  };
+  rejects([](ServiceConfig& c) { c.cap = 0; }, "cap must be >= 1");
+  rejects([](ServiceConfig& c) { c.round_period = 0.0; }, "round period");
+  rejects([](ServiceConfig& c) { c.inject_every = 0; }, "inject_every");
+  rejects([](ServiceConfig& c) { c.sample_every = -1.0; }, "sample_every");
+  rejects(
+      [](ServiceConfig& c) {
+        c.mix = {{JobKind::kByz, Config{.n = 4, .m = 2, .u = 1}, 0,
+                  Value::of(17), {}}};
+      },
+      "invalid config");
+  // The default mix's IC template holds n = 4 slots at once.
+  rejects([](ServiceConfig& c) { c.cap = 3; }, "above cap 3");
+  ServiceConfig fits;
+  fits.cap = 4;
+  EXPECT_EQ(fits.validate(), std::nullopt);
+}
+
 // ----------------------------------------------------------- admission --
 
 TEST(Admission, ParseRoundTrips) {

@@ -1,18 +1,18 @@
 #!/bin/sh
-# Golden-output test for `search_resume status`. The status report is a
+# Golden-output test for `da search status`. The status report is a
 # pure function of the frontier bytes (frontiers store no wall times), so
 # its exact text is pinned here: percent-complete over the plan, the
 # weighted-of-space total, the plan (quotient) line and the eta line.
-# Usage: search_resume_status_test.sh <search_resume-binary>
+# Usage: search_resume_status_test.sh <da-binary>
 set -eu
 
-BIN=${1:?usage: search_resume_status_test.sh <search_resume-binary>}
+BIN=${1:?usage: search_resume_status_test.sh <da-binary>}
 TMP=$(mktemp -d "${TMPDIR:-/tmp}/sr_status.XXXXXX")
 trap 'rm -rf "$TMP"' EXIT INT TERM
 
 # 1. Fresh quotiented frontier: init prints the v2 plan line, 0.0%
 #    progress and an "unknown" eta carrying the remaining-shard count.
-"$BIN" init --out "$TMP/f" --n 4 --m 1 --u 1 >"$TMP/fresh.out"
+"$BIN" search init --out "$TMP/f" --n 4 --m 1 --u 1 >"$TMP/fresh.out"
 cat >"$TMP/fresh.golden" <<'EOF'
 config        n=4 m=1 u=1 max_f=1 seed=1
 space         112 ordinals, 2 shards (full plan)
@@ -25,13 +25,13 @@ EOF
 diff -u "$TMP/fresh.golden" "$TMP/fresh.out"
 
 # 2. `status` re-reads the file and must reproduce init's report exactly.
-"$BIN" status --frontier "$TMP/f" >"$TMP/status.out"
+"$BIN" search status --frontier "$TMP/f" >"$TMP/status.out"
 diff -u "$TMP/fresh.golden" "$TMP/status.out"
 
 # 3. Settled clean sweep: 100.0% of plan, orbit-weighted executions
 #    reconciling to 100.0% of the unreduced space, eta "settled".
-"$BIN" run --frontier "$TMP/f" --jobs 2 >/dev/null
-"$BIN" status --frontier "$TMP/f" >"$TMP/settled.out"
+"$BIN" search run --frontier "$TMP/f" --jobs 2 >/dev/null
+"$BIN" search status --frontier "$TMP/f" >"$TMP/settled.out"
 cat >"$TMP/settled.golden" <<'EOF'
 config        n=4 m=1 u=1 max_f=1 seed=1
 space         112 ordinals, 2 shards (full plan)
@@ -45,7 +45,7 @@ diff -u "$TMP/settled.golden" "$TMP/settled.out"
 
 # 4. --no-subset-symmetry writes a v1 file and reports the unquotiented
 #    plan (more shards: no segments were skipped).
-"$BIN" init --out "$TMP/v1" --n 4 --m 1 --u 1 --no-subset-symmetry \
+"$BIN" search init --out "$TMP/v1" --n 4 --m 1 --u 1 --no-subset-symmetry \
   >"$TMP/v1.out"
 grep -q '^plan          unquotiented (da-frontier v1)$' "$TMP/v1.out"
 grep -q '^space         112 ordinals, 4 shards (full plan)$' "$TMP/v1.out"
@@ -54,9 +54,9 @@ head -n 1 "$TMP/f" | grep -q '^da-frontier v2$'
 
 # 5. A partially-run violating frontier stays deterministic too: the hit
 #    at ordinal 129 settles the verdict while a cancelled shard remains.
-"$BIN" init --out "$TMP/hit" --n 4 --m 1 --u 2 >/dev/null
-"$BIN" run --frontier "$TMP/hit" --jobs 2 >/dev/null
-"$BIN" status --frontier "$TMP/hit" >"$TMP/hit.out"
+"$BIN" search init --out "$TMP/hit" --n 4 --m 1 --u 2 >/dev/null
+"$BIN" search run --frontier "$TMP/hit" --jobs 2 >/dev/null
+"$BIN" search status --frontier "$TMP/hit" >"$TMP/hit.out"
 cat >"$TMP/hit.golden" <<'EOF'
 config        n=4 m=1 u=2 max_f=2 seed=1
 space         3952 ordinals, 4 shards (full plan)
@@ -68,4 +68,4 @@ verdict       violation at ordinal 129 (settled)
 EOF
 diff -u "$TMP/hit.golden" "$TMP/hit.out"
 
-echo "search_resume status golden: OK"
+echo "da search status golden: OK"
