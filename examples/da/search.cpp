@@ -241,10 +241,16 @@ int search_cmd(const Args& args) {
     if (out.empty()) throw UsageError("init needs --out");
     const Config config{.n = n, .m = m, .u = u};
     if (!config.valid() || config.m > 1) throw UsageError("invalid config");
-    const faults::Frontier frontier = faults::init_behavior_frontier(
-        config, max_f, seed,
-        no_subset_symmetry ? faults::Reduction::kOrbits
-                           : faults::Reduction::kQuotient);
+    faults::Frontier frontier;
+    try {
+      frontier = faults::init_behavior_frontier(
+          config, max_f, seed,
+          no_subset_symmetry ? faults::Reduction::kOrbits
+                             : faults::Reduction::kQuotient);
+    } catch (const UnsupportedConfig& rejected) {
+      std::fprintf(stderr, "da search: %s\n", rejected.what());
+      return 2;
+    }
     save_or_die(frontier, out);
     print_status(frontier);
     return 0;

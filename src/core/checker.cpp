@@ -32,16 +32,23 @@ Value decision_of(const sim::Decisions& decisions, NodeId id) {
 }
 
 template <typename DecisionContainer>
-ConditionReport check_conditions_impl(const ScenarioSpec& spec,
-                                      const DecisionContainer& decisions) {
+void check_conditions_impl(const ScenarioSpec& spec,
+                           const DecisionContainer& decisions,
+                           ConditionReport& report) {
   spec.validate();
-  ConditionReport report;
+  // Reset every field; the vectors and `detail` keep their capacity.
+  report.satisfied = true;
+  report.value_class.clear();
+  report.default_class.clear();
+  report.violators.clear();
+  report.corollary_m_plus_1 = false;
+  report.largest_agreeing_class = 0;
+  report.detail.clear();
 
   const int f = spec.f();
   const int m = spec.config.m;
   const int u = spec.config.u;
   const bool sender_ok = !spec.sender_faulty();
-  const std::vector<NodeId> receivers = spec.fault_free_receivers();
 
   // Classify the governing condition.
   if (f <= m) {
@@ -61,7 +68,7 @@ ConditionReport check_conditions_impl(const ScenarioSpec& spec,
   static thread_local std::vector<std::pair<Value, std::vector<NodeId>>>
       class_scratch;
   std::size_t class_count = 0;
-  for (NodeId r : receivers) {
+  spec.for_each_fault_free_receiver([&](NodeId r) {
     const Value v = decision_of(decisions, r);
     std::size_t i = 0;
     while (i < class_count && class_scratch[i].first != v) ++i;
@@ -72,7 +79,7 @@ ConditionReport check_conditions_impl(const ScenarioSpec& spec,
       ++class_count;
     }
     class_scratch[i].second.push_back(r);
-  }
+  });
   std::sort(class_scratch.begin(),
             class_scratch.begin() + static_cast<std::ptrdiff_t>(class_count),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -179,20 +186,28 @@ ConditionReport check_conditions_impl(const ScenarioSpec& spec,
     report.largest_agreeing_class = std::max(report.largest_agreeing_class, 1);
   }
   report.corollary_m_plus_1 = report.largest_agreeing_class >= m + 1;
-
-  return report;
 }
 
 }  // namespace
 
+void check_conditions(const ScenarioSpec& spec,
+                      const sim::Decisions& decisions,
+                      ConditionReport& report) {
+  check_conditions_impl(spec, decisions, report);
+}
+
 ConditionReport check_conditions(const ScenarioSpec& spec,
                                  const sim::Decisions& decisions) {
-  return check_conditions_impl(spec, decisions);
+  ConditionReport report;
+  check_conditions_impl(spec, decisions, report);
+  return report;
 }
 
 ConditionReport check_conditions(const ScenarioSpec& spec,
                                  const std::map<NodeId, Value>& decisions) {
-  return check_conditions_impl(spec, decisions);
+  ConditionReport report;
+  check_conditions_impl(spec, decisions, report);
+  return report;
 }
 
 }  // namespace da

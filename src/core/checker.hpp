@@ -45,9 +45,15 @@ struct ConditionReport {
 };
 
 /// Checks decisions (one per node; faulty nodes' entries are ignored)
-/// against conditions D.1-D.4 for `spec`. The `sim::Decisions` overload is
-/// the allocation-free form used by the search hot loops; the map overload
-/// serves callers that assemble decisions by hand.
+/// against conditions D.1-D.4 for `spec`. The in-place overload overwrites
+/// every field of `report`, reusing its vectors' capacity: with one report
+/// kept across calls it is the allocation-free form the search hot loops
+/// and the service use (a violation's `detail` text still allocates). The
+/// returning overloads wrap it; the map one serves callers that assemble
+/// decisions by hand.
+void check_conditions(const ScenarioSpec& spec,
+                      const sim::Decisions& decisions,
+                      ConditionReport& report);
 [[nodiscard]] ConditionReport check_conditions(const ScenarioSpec& spec,
                                                const sim::Decisions& decisions);
 [[nodiscard]] ConditionReport check_conditions(

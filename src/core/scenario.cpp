@@ -18,6 +18,12 @@ UnsupportedConfig::UnsupportedConfig(const Config& config)
           " for the engine's deepest VOTE quorum to be non-empty"),
       config_(config) {}
 
+UnsupportedConfig::UnsupportedConfig(const Config& config,
+                                     const std::string& reason)
+    : std::invalid_argument("unsupported config: " + config.to_string() +
+                            ": " + reason),
+      config_(config) {}
+
 bool ScenarioSpec::sender_faulty() const { return is_faulty(sender); }
 
 bool ScenarioSpec::is_faulty(NodeId id) const {
@@ -26,9 +32,7 @@ bool ScenarioSpec::is_faulty(NodeId id) const {
 
 std::vector<NodeId> ScenarioSpec::fault_free_receivers() const {
   std::vector<NodeId> out;
-  for (NodeId id = 0; id < config.n; ++id) {
-    if (id != sender && !is_faulty(id)) out.push_back(id);
-  }
+  for_each_fault_free_receiver([&out](NodeId id) { out.push_back(id); });
   return out;
 }
 

@@ -48,13 +48,18 @@ struct Config {
 /// engine cannot execute (`Config::engine_runnable()` fails). Thrown by
 /// `core::make_byz_processes` and the service admission boundary so
 /// callers can distinguish "you asked for the impossible" from plain
-/// contract bugs, and can recover the offending config. Deliberately not
+/// contract bugs, and can recover the offending config. The exhaustive
+/// behaviour search throws it too, for configs whose behaviour space it
+/// will not walk (faults/behavior_search.hpp). Deliberately not
 /// part of `ScenarioSpec::validate()`: specs are protocol-agnostic, and
 /// the non-EIG protocols (SM, OM's majority resolve, crusader) run
 /// configs below the EIG floor just fine.
 class UnsupportedConfig : public std::invalid_argument {
  public:
   explicit UnsupportedConfig(const Config& config);
+  /// A rejection for another limit of an executor, named by `reason`
+  /// (e.g. the behaviour search's per-subset slot cap).
+  UnsupportedConfig(const Config& config, const std::string& reason);
 
   [[nodiscard]] const Config& config() const { return config_; }
 
@@ -75,6 +80,15 @@ struct ScenarioSpec {
 
   /// Fault-free receivers (everyone but sender and faulty nodes).
   [[nodiscard]] std::vector<NodeId> fault_free_receivers() const;
+
+  /// Calls `fn(id)` for each fault-free receiver in ascending id order —
+  /// `fault_free_receivers()` without building the vector.
+  template <typename Fn>
+  void for_each_fault_free_receiver(Fn&& fn) const {
+    for (NodeId id = 0; id < config.n; ++id) {
+      if (id != sender && !is_faulty(id)) fn(id);
+    }
+  }
 
   /// Throws on malformed specs (ids out of range, duplicate faulty ids,
   /// default sender value, ...).

@@ -8,33 +8,29 @@ namespace da::faults {
 
 namespace {
 
-class SilentAdversary final : public sim::Adversary {
+class SilentAdversary final : public sim::RewritingAdversary {
  public:
-  std::optional<sim::Message> corrupt(const sim::Message&) override {
-    return std::nullopt;
-  }
+  bool rewrite(sim::Message&) override { return false; }
 };
 
-class ConstantLiar final : public sim::Adversary {
+class ConstantLiar final : public sim::RewritingAdversary {
  public:
   explicit ConstantLiar(Value lie) : lie_(lie) {}
-  std::optional<sim::Message> corrupt(const sim::Message& msg) override {
-    sim::Message out = msg;
-    out.value = lie_;
-    return out;
+  bool rewrite(sim::Message& msg) override {
+    msg.value = lie_;
+    return true;
   }
 
  private:
   Value lie_;
 };
 
-class Equivocator final : public sim::Adversary {
+class Equivocator final : public sim::RewritingAdversary {
  public:
   Equivocator(Value a, Value b) : a_(a), b_(b) {}
-  std::optional<sim::Message> corrupt(const sim::Message& msg) override {
-    sim::Message out = msg;
-    out.value = msg.to % 2 == 0 ? a_ : b_;
-    return out;
+  bool rewrite(sim::Message& msg) override {
+    msg.value = msg.to % 2 == 0 ? a_ : b_;
+    return true;
   }
 
  private:
@@ -42,14 +38,13 @@ class Equivocator final : public sim::Adversary {
   Value b_;
 };
 
-class PivotEquivocator final : public sim::Adversary {
+class PivotEquivocator final : public sim::RewritingAdversary {
  public:
   PivotEquivocator(Value low, Value high, NodeId pivot)
       : low_(low), high_(high), pivot_(pivot) {}
-  std::optional<sim::Message> corrupt(const sim::Message& msg) override {
-    sim::Message out = msg;
-    out.value = msg.to < pivot_ ? low_ : high_;
-    return out;
+  bool rewrite(sim::Message& msg) override {
+    msg.value = msg.to < pivot_ ? low_ : high_;
+    return true;
   }
 
  private:
@@ -58,37 +53,32 @@ class PivotEquivocator final : public sim::Adversary {
   NodeId pivot_;
 };
 
-class CrashAfter final : public sim::Adversary {
+class CrashAfter final : public sim::RewritingAdversary {
  public:
   explicit CrashAfter(int last_honest_round) : last_(last_honest_round) {}
-  std::optional<sim::Message> corrupt(const sim::Message& msg) override {
-    if (msg.round > last_) return std::nullopt;
-    return msg;
-  }
+  bool rewrite(sim::Message& msg) override { return msg.round <= last_; }
 
  private:
   int last_;
 };
 
-class RandomNoise final : public sim::Adversary {
+class RandomNoise final : public sim::RewritingAdversary {
  public:
   RandomNoise(std::uint64_t seed, std::int64_t lo, std::int64_t hi,
               double omit_prob)
       : seed_(seed), lo_(lo), hi_(hi), omit_prob_(omit_prob) {}
 
-  std::optional<sim::Message> corrupt(const sim::Message& msg) override {
+  bool rewrite(sim::Message& msg) override {
     // Derive everything from the message identity, never from call order.
     std::uint64_t h = mix64(seed_, static_cast<std::uint64_t>(msg.from));
     h = mix64(h, static_cast<std::uint64_t>(msg.to));
     h = mix64(h, static_cast<std::uint64_t>(msg.round));
     h = mix64(h, msg.path.hash());
     const double roll = static_cast<double>(h >> 11) * 0x1.0p-53;
-    if (roll < omit_prob_) return std::nullopt;
-    const auto span =
-        static_cast<std::uint64_t>(hi_ - lo_ + 1);
-    sim::Message out = msg;
-    out.value = Value::of(lo_ + static_cast<std::int64_t>(mix64(h) % span));
-    return out;
+    if (roll < omit_prob_) return false;
+    const auto span = static_cast<std::uint64_t>(hi_ - lo_ + 1);
+    msg.value = Value::of(lo_ + static_cast<std::int64_t>(mix64(h) % span));
+    return true;
   }
 
  private:
@@ -98,20 +88,19 @@ class RandomNoise final : public sim::Adversary {
   double omit_prob_;
 };
 
-class TargetedSplit final : public sim::Adversary {
+class TargetedSplit final : public sim::RewritingAdversary {
  public:
   TargetedSplit(std::vector<NodeId> target, Value lie)
       : target_(std::move(target)), lie_(lie) {
     std::sort(target_.begin(), target_.end());
   }
 
-  std::optional<sim::Message> corrupt(const sim::Message& msg) override {
-    if (std::binary_search(target_.begin(), target_.end(), msg.to)) {
-      return msg;  // tell the target subset the truth
+  bool rewrite(sim::Message& msg) override {
+    // Tell the target subset the truth, everyone else the lie.
+    if (!std::binary_search(target_.begin(), target_.end(), msg.to)) {
+      msg.value = lie_;
     }
-    sim::Message out = msg;
-    out.value = lie_;
-    return out;
+    return true;
   }
 
  private:

@@ -107,7 +107,7 @@ std::vector<std::pair<NodeId, NodeId>> controlled_slots(
 /// Plays one behaviour table over a dense n*n (from, to) grid. Mutable
 /// (`set`) so the checkpoint walk re-points individual slots between forks
 /// without rebuilding the adversary or allocating.
-class TableAdversary final : public sim::Adversary {
+class TableAdversary final : public sim::RewritingAdversary {
  public:
   TableAdversary(int n, const std::vector<std::pair<NodeId, NodeId>>& slots)
       : n_(static_cast<std::size_t>(n)),
@@ -121,12 +121,11 @@ class TableAdversary final : public sim::Adversary {
     values_[cell(slot.first, slot.second)] = value;
   }
 
-  std::optional<sim::Message> corrupt(const sim::Message& msg) override {
+  bool rewrite(sim::Message& msg) override {
     const std::size_t c = cell(msg.from, msg.to);
-    if (controlled_[c] == 0) return msg;  // e.g. relay addressed to sender
-    sim::Message out = msg;
-    out.value = values_[c];
-    return out;
+    // Uncontrolled cells (e.g. a relay addressed to the sender) pass.
+    if (controlled_[c] != 0) msg.value = values_[c];
+    return true;
   }
 
  private:
@@ -192,6 +191,13 @@ int resolve_limit(const Config& config, int max_f) {
   return max_f < 0 ? config.u : max_f;
 }
 
+/// Throws `UnsupportedConfig` for a config the walk will not take.
+void expect_supported(const Config& config, int limit) {
+  if (const auto problem = behavior_search_unsupported(config, limit)) {
+    throw UnsupportedConfig(config, *problem);
+  }
+}
+
 /// Invokes `fn(spec, slots)` for every faulty subset of the enumeration,
 /// in the serial scan order (f ascending, subsets lexicographic).
 template <typename SegmentFn>
@@ -238,11 +244,12 @@ std::uint64_t space_at(const Config& config, int max_f, Reduction reduction) {
 /// first hit is the unquotiented walk's first hit (docs/SEARCH.md §6).
 std::vector<Segment> build_segments(const Config& config, int limit,
                                     Reduction reduction) {
+  expect_supported(config, limit);
   const bool quotient = reduction == Reduction::kQuotient;
   std::vector<Segment> segments;
   std::uint64_t base = 0;
   for_each_segment(config, limit, [&](ScenarioSpec spec, auto slots) {
-    DA_EXPECTS(slots.size() <= 12);  // 4^12 = 16M: keep runs bounded
+    DA_EXPECTS(slots.size() <= kMaxBehaviorSlots);
     if (quotient &&
         !is_subset_representative(config.n, spec.sender, spec.faulty)) {
       subset_skipped_counter().add();
@@ -287,6 +294,7 @@ struct ShardState {
   std::uint64_t round0_digits = 0;    // digit prefix `round1` was built for
   bool has_round1 = false;
   sim::RunResult result;
+  ConditionReport report;  // reused by every check of the shard
 };
 
 /// One constructed behaviour sweep: segments, shard plan, and the visitor
@@ -469,7 +477,8 @@ class BehaviorSweep {
     byz_executions.add();
     engine.finish_into(st.result);
     byz_messages.add(st.result.messages_sent);
-    return report_at(check_conditions(seg.spec, st.result.decisions));
+    check_conditions(seg.spec, st.result.decisions, st.report);
+    return report_at(st.report);
   }
 
   Reduction reduction_;
@@ -481,6 +490,20 @@ class BehaviorSweep {
 };
 
 }  // namespace
+
+std::optional<std::string> behavior_search_unsupported(const Config& config,
+                                                       int max_f) {
+  const int limit = std::min(resolve_limit(config, max_f), config.n);
+  if (limit < 1) return std::nullopt;
+  const auto n = static_cast<std::size_t>(config.n);
+  const std::size_t widest =
+      (n - 1) + static_cast<std::size_t>(limit - 1) * (n - 2);
+  if (widest <= kMaxBehaviorSlots) return std::nullopt;
+  return "a faulty subset controls " + std::to_string(widest) +
+         " message slots, above the behaviour search's cap of " +
+         std::to_string(kMaxBehaviorSlots) + " (4^" +
+         std::to_string(kMaxBehaviorSlots) + " behaviours)";
+}
 
 std::optional<Violation> exhaustive_behavior_search(
     const Config& config, const BehaviorSearchOptions& options,
@@ -555,6 +578,11 @@ FrontierRun run_behavior_frontier(Frontier& frontier,
     return run;
   }
   const int limit = resolve_limit(frontier.config, frontier.max_f);
+  if (const auto problem =
+          behavior_search_unsupported(frontier.config, limit)) {
+    run.error = "frontier config: " + *problem;
+    return run;
+  }
   if (frontier.space != behavior_search_space(frontier.config, limit)) {
     run.error = "frontier space does not match the search space";
     return run;

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <string>
 
 #include "faults/frontier.hpp"
 #include "faults/search.hpp"
@@ -54,7 +56,10 @@ struct BehaviorSearchOptions {
 /// Controlled slots per faulty node: its round-0 broadcast (if it is the
 /// sender: n-1 destinations) and its round-1 relay of the sender slot
 /// (n-2 destinations). The enumeration is exponential in the slot count:
-/// keep n small (n = 4: <= 4^7; n = 5: <= 4^11 in the worst subset).
+/// keep n small (n = 4: <= 4^7; n = 5: <= 4^11 in the worst subset). A
+/// config whose widest faulty subset controls more than
+/// `kMaxBehaviorSlots` slots is rejected with `UnsupportedConfig` (see
+/// `behavior_search_unsupported`).
 ///
 /// Returns the first violating scenario, or nullopt if *no behaviour at
 /// all* breaks the conditions — the executable form of Theorem 1 for
@@ -73,6 +78,19 @@ struct BehaviorSearchOptions {
 /// the same canonical counts (`stats->executions` for a fixed level,
 /// `stats->weighted_executions` across levels); `stats` (optional)
 /// additionally receives per-shard counters for scaling reports.
+/// Most message slots one faulty subset may control: 4^12 (16.8M)
+/// behaviours keeps every segment of the walk bounded.
+inline constexpr std::size_t kMaxBehaviorSlots = 12;
+
+/// Why the behaviour search rejects `config` up to `max_f` faults (-1 =
+/// the config's u), or nullopt if it can walk it. The one home of the
+/// slot cap: the widest subset is a faulty sender (n-1 slots) plus
+/// max_f-1 faulty relays (n-2 slots each). Every entry point below
+/// throws `UnsupportedConfig` with this reason, except
+/// `run_behavior_frontier`, which reports it as its error.
+[[nodiscard]] std::optional<std::string> behavior_search_unsupported(
+    const Config& config, int max_f = -1);
+
 [[nodiscard]] std::optional<Violation> exhaustive_behavior_search(
     const Config& config, const BehaviorSearchOptions& options = {},
     const sweep::SweepOptions& sweep_options = {},

@@ -21,23 +21,20 @@ bool Rule::matches(const sim::Message& msg) const {
 ScriptedAdversary::ScriptedAdversary(std::vector<Rule> rules)
     : rules_(std::move(rules)) {}
 
-std::optional<sim::Message> ScriptedAdversary::corrupt(
-    const sim::Message& msg) {
+bool ScriptedAdversary::rewrite(sim::Message& msg) {
   for (const Rule& rule : rules_) {
     if (!rule.matches(msg)) continue;
     switch (rule.action) {
       case Rule::Action::kOmit:
-        return std::nullopt;
-      case Rule::Action::kReplace: {
-        sim::Message out = msg;
-        out.value = rule.value;
-        return out;
-      }
+        return false;
+      case Rule::Action::kReplace:
+        msg.value = rule.value;
+        return true;
       case Rule::Action::kPass:
-        return msg;
+        return true;
     }
   }
-  return msg;
+  return true;
 }
 
 std::unique_ptr<sim::Adversary> scripted(std::vector<Rule> rules) {

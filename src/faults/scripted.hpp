@@ -30,12 +30,11 @@ struct Rule {
 /// message's fate; unmatched messages pass through unmodified. This is how
 /// the Figure 2 proof scenarios ("node A pretends to have received alpha
 /// from sender S") are reproduced verbatim.
-class ScriptedAdversary final : public sim::Adversary {
+class ScriptedAdversary final : public sim::RewritingAdversary {
  public:
   explicit ScriptedAdversary(std::vector<Rule> rules);
 
-  [[nodiscard]] std::optional<sim::Message> corrupt(
-      const sim::Message& msg) override;
+  [[nodiscard]] bool rewrite(sim::Message& msg) override;
 
  private:
   std::vector<Rule> rules_;

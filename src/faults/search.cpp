@@ -206,6 +206,7 @@ std::optional<Violation> search_violation(
     rounds_replayed_counter().add(static_cast<std::uint64_t>(prefix_rounds));
     const int suffix_rounds = engine.total_rounds() - prefix_rounds;
     sim::RunResult result;
+    ConditionReport report;  // reused by every family member's check
     bool first = true;
     for (const auto& factory : family) {
       // With no faulty nodes every adversary is a no-op, so only "silent"
@@ -229,7 +230,7 @@ std::optional<Violation> search_violation(
       byz_executions.add();
       engine.finish_into(result);
       byz_messages.add(result.messages_sent);
-      const ConditionReport report = check_conditions(spec, result.decisions);
+      check_conditions(spec, result.decisions, report);
       if (!report.satisfied) {
         candidates[shard] = Violation{spec, factory.name, report};
         visit.hit = true;

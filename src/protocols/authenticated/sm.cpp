@@ -128,7 +128,7 @@ std::vector<std::unique_ptr<sim::Process>> make_sm_processes(
 
 namespace {
 
-class SigningEquivocator final : public sim::Adversary {
+class SigningEquivocator final : public sim::RewritingAdversary {
  public:
   SigningEquivocator(const SignatureAuthority& authority,
                      std::vector<NodeId> faulty, Value a, Value b)
@@ -136,17 +136,16 @@ class SigningEquivocator final : public sim::Adversary {
     std::sort(faulty_.begin(), faulty_.end());
   }
 
-  std::optional<sim::Message> corrupt(const sim::Message& msg) override {
+  bool rewrite(sim::Message& msg) override {
     const bool chain_all_faulty = std::all_of(
         msg.path.begin(), msg.path.end(), [this](NodeId hop) {
           return std::binary_search(faulty_.begin(), faulty_.end(), hop);
         });
-    if (!chain_all_faulty) return msg;  // cannot re-sign honest signatures
-    sim::Message out = msg;
-    out.value = msg.to % 2 == 0 ? a_ : b_;
-    out.aux = static_cast<std::int64_t>(
-        authority_.chain_tag(out.path, out.value));
-    return out;
+    if (!chain_all_faulty) return true;  // cannot re-sign honest signatures
+    msg.value = msg.to % 2 == 0 ? a_ : b_;
+    msg.aux = static_cast<std::int64_t>(
+        authority_.chain_tag(msg.path, msg.value));
+    return true;
   }
 
  private:
@@ -156,13 +155,12 @@ class SigningEquivocator final : public sim::Adversary {
   Value b_;
 };
 
-class BlindTamperer final : public sim::Adversary {
+class BlindTamperer final : public sim::RewritingAdversary {
  public:
   explicit BlindTamperer(Value lie) : lie_(lie) {}
-  std::optional<sim::Message> corrupt(const sim::Message& msg) override {
-    sim::Message out = msg;
-    out.value = lie_;  // chain tag left stale: receivers will reject
-    return out;
+  bool rewrite(sim::Message& msg) override {
+    msg.value = lie_;  // chain tag left stale: receivers will reject
+    return true;
   }
 
  private:

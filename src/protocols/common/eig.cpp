@@ -119,15 +119,16 @@ Value EigTree::resolve(const Resolver& rule) const {
 
   const int n = static_cast<int>(nodes_.size());
   // Resolved values of the level below the one being folded, indexed by
-  // in-level position. Leaves resolve to their stored (or V_d) values.
-  // Scratch buffers are thread-local so the per-execution resolve (once
-  // per process, the checkpointed searches' second-hottest call) is
-  // allocation-free at steady state; resolve never re-enters itself.
-  static thread_local std::vector<Value> below;
+  // in-level position. Leaves resolve to their stored (or V_d) values, so
+  // the first fold reads them straight from the arena; later folds read
+  // the previous fold's output. Scratch buffers are thread-local so the
+  // per-execution resolve (once per process, the checkpointed searches'
+  // second-hottest call) is allocation-free at steady state; resolve
+  // never re-enters itself.
+  static thread_local std::vector<Value> resolved;
   static thread_local std::vector<Value> folded;
   static thread_local std::vector<Value> w;
-  below.assign(values_.begin() + layout.level_offset(depth_ - 1),
-               values_.begin() + layout.level_offset(depth_));
+  const Value* below = values_.data() + layout.level_offset(depth_ - 1);
   w.reserve(static_cast<std::size_t>(n));
 
   for (int r = depth_ - 2; r >= 0; --r) {
@@ -156,7 +157,8 @@ Value EigTree::resolve(const Resolver& rule) const {
       DA_ENSURES(static_cast<int>(w.size()) == n_sub - 1);
       folded[ord - lo] = rule.resolve(n_sub, w);
     }
-    below.swap(folded);
+    resolved.swap(folded);
+    below = resolved.data();
   }
   return below[0];
 }

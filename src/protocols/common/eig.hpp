@@ -48,8 +48,8 @@ class Resolver {
 /// own directly-received value for sigma plus the recursively resolved
 /// values of the sub-senders j (j not in sigma, j != self), folded with the
 /// supplied rule. The fold is an iterative bottom-up pass over the arena
-/// (two level-sized scratch buffers, no recursion, no per-node Path
-/// copies or hashing).
+/// (leaves read in place, two level-sized scratch buffers above them, no
+/// recursion, no per-node Path copies or hashing).
 class EigTree {
  public:
   /// `nodes` lists every participant (sender included); `depth` is the

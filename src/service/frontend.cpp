@@ -46,6 +46,8 @@ std::optional<RoutePolicy> parse_route_policy(std::string_view name) {
 ServiceFrontend::ServiceFrontend(FrontendConfig config)
     : config_(std::move(config)) {
   DA_EXPECTS(config_.shards >= 1);
+  // The front-end walks the sample grid itself (its shards sample never).
+  DA_EXPECTS(config_.service.sample_every_valid());
   mix_ = config_.service.mix.empty() ? default_mix() : config_.service.mix;
   const int jobs = sweep::resolve_jobs(config_.service.jobs);
   config_.service.jobs = jobs;

@@ -245,6 +245,15 @@ std::optional<std::string> ServiceConfig::validate() const {
   if (!(round_period > 0.0)) return "round period must be > 0";
   if (inject_every < 1) return "inject_every must be >= 1";
   if (!(sample_every >= 0.0)) return "sample_every must be >= 0";
+  if (!sample_every_valid()) {
+    char text[96];
+    std::snprintf(text, sizeof text,
+                  "sample_every must be 0 or >= %g (%g round periods), "
+                  "got %g",
+                  kMinSampleEveryRounds * round_period, kMinSampleEveryRounds,
+                  sample_every);
+    return text;
+  }
   for (const JobTemplate& tmpl : mix.empty() ? default_mix() : mix) {
     if (!tmpl.config.valid()) {
       return "template " + tmpl.to_string() + " has an invalid config";
@@ -321,7 +330,7 @@ AgreementService::AgreementService(ServiceConfig config)
   DA_EXPECTS(config_.cap >= 1);
   DA_EXPECTS(config_.round_period > 0.0);
   DA_EXPECTS(config_.inject_every >= 1);
-  DA_EXPECTS(config_.sample_every >= 0.0);
+  DA_EXPECTS(config_.sample_every >= 0.0 && config_.sample_every_valid());
   inject_enabled_ = config_.fault_plan.active();
   recording_ = kSpansEnabled && config_.record_spans;
   mix_ = config_.mix.empty() ? default_mix() : config_.mix;
@@ -528,12 +537,11 @@ void AgreementService::complete_sub_instance(InstanceSlot& slot, double now) {
   const Shape& shape = *shapes_[static_cast<std::size_t>(slot.shape_index)];
   slot.engine.finish_into(scratch_result_);
   JobRecord& rec = records_[slot.job_id];
-  const ConditionReport report =
-      check_conditions(shape.spec, scratch_result_.decisions);
-  if (condition_rank(report.applied) > condition_rank(rec.applied)) {
-    rec.applied = report.applied;
+  check_conditions(shape.spec, scratch_result_.decisions, scratch_report_);
+  if (condition_rank(scratch_report_.applied) > condition_rank(rec.applied)) {
+    rec.applied = scratch_report_.applied;
   }
-  rec.satisfied = rec.satisfied && report.satisfied;
+  rec.satisfied = rec.satisfied && scratch_report_.satisfied;
   std::uint64_t h = rec.decisions_digest;
   for (const auto& [node, value] : scratch_result_.decisions) {
     h = mix64(h, static_cast<std::uint64_t>(node));

@@ -138,6 +138,10 @@ struct ServiceConfig {
   bool record_spans = false;
   /// Emit a `ServiceSample` every this much virtual time (0 = off).
   double sample_every = 0.0;
+  /// Finest sample period, as a fraction of `round_period`. A finer grid
+  /// only repeats the state between events many times over, and a period
+  /// below the clock's resolution would stop it advancing altogether.
+  static constexpr double kMinSampleEveryRounds = 1.0 / 64;
   /// Fault plan routed through selected jobs' message transport via a
   /// per-slot `inject::InjectionNetwork` (inactive plan = reliable links).
   inject::FaultPlan fault_plan{};
@@ -149,6 +153,13 @@ struct ServiceConfig {
   /// templates no wider than the cap), as a typed rejection: the first
   /// problem, or nullopt when the config is sound.
   [[nodiscard]] std::optional<std::string> validate() const;
+
+  /// The sample-period rule of `validate()`: 0 (off), or at least
+  /// `kMinSampleEveryRounds` round periods.
+  [[nodiscard]] bool sample_every_valid() const {
+    return sample_every == 0.0 ||
+           sample_every >= kMinSampleEveryRounds * round_period;
+  }
 };
 
 /// Outcome of one job, in virtual time. `admitted`/`completed` are
@@ -404,6 +415,7 @@ class AgreementService {
   std::uint64_t ticks_this_run_ = 0;
   int peak_active_ = 0;
   sim::RunResult scratch_result_;
+  ConditionReport scratch_report_;  // reused by every instance's check
 
   // Observability scratch (spans/samples/sketches, reset per run).
   bool recording_ = false;        // record_spans, post kill-switch gate

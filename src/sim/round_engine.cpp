@@ -36,10 +36,19 @@ const obs::Counter& fabrications_dropped_counter() {
   static const obs::Counter c("sim.fabrications_dropped");
   return c;
 }
+#ifndef DA_METRICS_DISABLED
 const obs::Quantile& round_ms_sketch() {
   static const obs::Quantile q("sim.round_ms");
   return q;
 }
+
+/// True for the rounds `sim.round_ms` times on this thread: its first,
+/// then one in every `kRoundTimerEvery`.
+bool round_sampled() {
+  thread_local std::uint32_t rounds = 0;
+  return rounds++ % kRoundTimerEvery == 0;
+}
+#endif
 
 /// The in-flight inboxes of one thread, shared by every engine stepped on
 /// it. `dispatch_pending()` claims them (`owner`), and the
@@ -96,7 +105,7 @@ void RoundEngine::dispatch(std::vector<Message>& outbox, std::size_t i,
   const auto deliver = [&](const Message& copy) {
     const std::size_t to = index_.at(copy.to);
     if (to == NodeIndex::npos) {
-      // Only fabricate() can aim at a non-participant (corrupt() is
+      // Only fabricate() can aim at a non-participant (rewrite() is
       // normalized, honest processes address peers): drop and count.
       DA_EXPECTS(fabricated);
       fabrications_dropped_counter().add();
@@ -115,22 +124,19 @@ void RoundEngine::dispatch(std::vector<Message>& outbox, std::size_t i,
     ++messages_sent_;
     ++sent;
     if (options_.network == nullptr) {
-      // Reliable-link fast path: no per-message fan-out vector. Semantics
-      // identical to filter_fanout (corrupt + from/to/round normalization).
+      // Reliable-link fast path: no per-message fan-out vector, and the
+      // adversary rewrites the held message in place (the outbox is
+      // cleared after this dispatch, and snapshots copied it before).
+      // Semantics identical to filter_fanout.
       if (fabricated || !faulty) {
         deliver(msg);
         continue;
       }
       DA_EXPECTS(options_.adversary != nullptr);
-      std::optional<Message> out = options_.adversary->corrupt(msg);
-      if (!out) continue;
-      out->from = msg.from;
-      out->to = msg.to;
-      out->round = msg.round;
-      deliver(*out);
+      if (corrupt_in_place(*options_.adversary, msg)) deliver(msg);
     } else {
       // Fabricated messages already carry adversarial content; they skip
-      // corrupt() but still traverse the network model.
+      // the adversary but still traverse the network model.
       for (const Message& copy :
            filter_fanout(msg, options_, faulty, fabricated)) {
         deliver(copy);
@@ -179,7 +185,10 @@ void RoundEngine::dispatch_pending() {
 void RoundEngine::process_round() {
   DA_EXPECTS(begun_ && dispatched_ && !done());
   rounds_counter().add();
-  const obs::ScopedTimer round_timer(round_ms_sketch());
+#ifndef DA_METRICS_DISABLED
+  std::optional<obs::ScopedTimer> round_timer;
+  if (round_sampled()) round_timer.emplace(round_ms_sketch());
+#endif
   InboxScratch& scratch = inbox_scratch();
   // The inboxes must hold this engine's latest dispatch: another engine
   // dispatching on this thread in between, or a dispatch made on another

@@ -8,6 +8,12 @@
 
 namespace da::sim {
 
+/// `RoundEngine::process_round` times one round in this many per thread
+/// into the `sim.round_ms` sketch, starting with the thread's first: two
+/// clock reads per round would cost a forked search execution more than a
+/// tenth of its time.
+inline constexpr std::uint32_t kRoundTimerEvery = 64;
+
 /// Resumable synchronous-round executor: `SyncRunner`'s loop, unrolled
 /// into explicit phases so a search can checkpoint an execution at a round
 /// boundary and fork cheap copies that continue under different adversary
@@ -21,7 +27,7 @@ namespace da::sim {
 ///      the resulting next-round outboxes. Collected outboxes are *held*,
 ///      not yet sent.
 ///   2. *dispatch* — `dispatch_pending()` pushes the held outboxes through
-///      the adversary (`corrupt`/`fabricate`) and the network model into
+///      the adversary (`rewrite`/`fabricate`) and the network model into
 ///      the receivers' inboxes.
 ///
 /// The split matters because all adversary influence happens at dispatch:

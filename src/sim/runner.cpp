@@ -32,21 +32,15 @@ NodeIndex::NodeIndex(const std::vector<std::unique_ptr<Process>>& processes,
 std::vector<Message> filter_fanout(const Message& msg,
                                    const RunOptions& options,
                                    bool from_is_faulty, bool fabricated) {
-  std::optional<Message> out = msg;
+  Message out = msg;
   if (!fabricated && from_is_faulty) {
     DA_EXPECTS(options.adversary != nullptr);
-    out = options.adversary->corrupt(msg);
-    if (!out) return {};
-    // The adversary may rewrite content but not impersonate other nodes or
-    // time-travel: receivers would reject those, so normalize here.
-    out->from = msg.from;
-    out->to = msg.to;
-    out->round = msg.round;
+    if (!corrupt_in_place(*options.adversary, out)) return {};
   }
   if (options.network != nullptr) {
-    return options.network->transit_fanout(*out);
+    return options.network->transit_fanout(out);
   }
-  return {std::move(*out)};
+  return {std::move(out)};
 }
 
 void sort_inbox(std::vector<Message>& inbox) {

@@ -65,9 +65,10 @@ class SyncRunner {
 };
 
 /// The single normalization path used by all three runtimes' dispatch
-/// loops: adversary
-/// (skipped for fabricated messages, which already carry adversarial
-/// content), then the network model's transit_fanout. A duplicating
+/// loops: `corrupt_in_place` (skipped for fabricated messages, which
+/// already carry adversarial content), then the network model's
+/// transit_fanout. The round engine's reliable-link fast path inlines the
+/// same steps without the fan-out vector. A duplicating
 /// network (src/inject/) may return several copies; a dropping one, none.
 [[nodiscard]] std::vector<Message> filter_fanout(const Message& msg,
                                                  const RunOptions& options,
@@ -77,7 +78,7 @@ class SyncRunner {
 /// Dense NodeId -> process-index table shared by the three runtimes'
 /// indexed inbox buffers: `at(id)` is the process position, or npos for
 /// ids no process owns. Honest senders and the normalized adversary
-/// `corrupt` hook can only target participants, but `fabricate` may aim
+/// `rewrite` hook can only target participants, but `fabricate` may aim
 /// anywhere — runtimes must *drop* (and count) fabricated messages whose
 /// target is unknown instead of growing a map or writing out of bounds.
 ///

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace da {
 namespace {
 
@@ -172,6 +176,67 @@ TEST(Checker, MissingDecisionRejected) {
   auto spec = base_spec();
   std::map<NodeId, Value> partial{{1, Value::of(10)}};
   EXPECT_THROW((void)check_conditions(spec, partial), std::logic_error);
+}
+
+sim::Decisions flat(std::initializer_list<Value> values) {
+  sim::Decisions out;
+  NodeId id = 0;
+  for (const Value& v : values) out[id++] = v;
+  return out;
+}
+
+void expect_same_report(const ConditionReport& got,
+                        const ConditionReport& want) {
+  EXPECT_EQ(got.applied, want.applied);
+  EXPECT_EQ(got.satisfied, want.satisfied);
+  EXPECT_EQ(got.value_class, want.value_class);
+  EXPECT_EQ(got.default_class, want.default_class);
+  EXPECT_EQ(got.violators, want.violators);
+  EXPECT_EQ(got.corollary_m_plus_1, want.corollary_m_plus_1);
+  EXPECT_EQ(got.largest_agreeing_class, want.largest_agreeing_class);
+  EXPECT_EQ(got.detail, want.detail);
+}
+
+// The in-place overload overwrites every field: a report left behind by
+// any check — violating D.2/D.4 ones included, with their violators and
+// detail text — and reused for the next equals a fresh report of it.
+TEST(Checker, ReusedReportEqualsFreshReport) {
+  const auto spec_with = [](std::vector<NodeId> faulty) {
+    ScenarioSpec spec = base_spec();  // n=5, m=1, u=2, sender 0 says 10
+    spec.faulty = std::move(faulty);
+    return spec;
+  };
+  const std::vector<std::pair<ScenarioSpec, sim::Decisions>> cases = {
+      // D.2 violated: two distinct values.
+      {spec_with({0}), flat({Value::of(1), Value::of(2), Value::of(2),
+                             Value::of(3), Value::def()})},
+      // D.4 violated: two distinct non-default values.
+      {spec_with({0, 4}), flat({Value::of(1), Value::of(2), Value::of(3),
+                                Value::def(), Value::of(9)})},
+      // D.1 satisfied.
+      {spec_with({3}), flat({Value::of(10), Value::of(10), Value::of(10),
+                             Value::of(99), Value::of(10)})},
+      // D.3 satisfied with both classes.
+      {spec_with({2, 3}), flat({Value::of(10), Value::of(10), Value::of(5),
+                                Value::of(6), Value::def()})},
+      // D.2 satisfied on a common default.
+      {spec_with({0}), flat({Value::of(1), Value::def(), Value::def(),
+                             Value::def(), Value::def()})},
+      // f > u: nothing promised.
+      {spec_with({1, 2, 3}), flat({Value::of(10), Value::of(1), Value::of(2),
+                                   Value::of(3), Value::of(4)})},
+  };
+  ASSERT_FALSE(check_conditions(cases[0].first, cases[0].second).satisfied);
+  ASSERT_FALSE(check_conditions(cases[1].first, cases[1].second).satisfied);
+  for (const auto& [first_spec, first_decisions] : cases) {
+    for (const auto& [spec, decisions] : cases) {
+      ConditionReport reused;
+      check_conditions(first_spec, first_decisions, reused);
+      check_conditions(spec, decisions, reused);
+      SCOPED_TRACE(first_spec.to_string() + " then " + spec.to_string());
+      expect_same_report(reused, check_conditions(spec, decisions));
+    }
+  }
 }
 
 TEST(Checker, ConditionNames) {

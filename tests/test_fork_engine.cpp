@@ -434,6 +434,36 @@ std::string fresh_thread_reference(const ScenarioSpec& spec) {
   return reference;
 }
 
+TEST(ForkEngine, InPlaceRewriteLeavesSnapshotsIntact) {
+  // The reliable-link fast path rewrites a faulty sender's held outbox in
+  // place. A snapshot taken before that dispatch must still hold the
+  // honest sends: a fork restored from it under an honest adversary
+  // equals a fresh honest run.
+  const Config config{.n = 4, .m = 1, .u = 1};
+  const auto liar = faults::constant_liar(Value::of(42));
+  sim::HonestAdversary honest;
+  sim::RunOptions options;
+  options.faulty = {0};
+  options.adversary = liar.get();
+  sim::RoundEngine engine(core::make_byz_processes(config, 0, Value::of(7)),
+                          options);
+  engine.begin();
+  const sim::RoundEngine::Snapshot start = engine.snapshot();
+  EXPECT_EQ(engine.run().decisions.at(1), Value::of(42));
+
+  engine.restore(start);
+  engine.set_adversary(&honest);
+  const sim::RunResult forked = engine.run();
+  options.adversary = &honest;
+  const sim::RunResult fresh =
+      sim::SyncRunner(core::make_byz_processes(config, 0, Value::of(7)),
+                      options)
+          .run();
+  EXPECT_EQ(forked.decisions, fresh.decisions);
+  EXPECT_EQ(forked.decisions.at(1), Value::of(7));
+  EXPECT_EQ(forked.messages_delivered, fresh.messages_delivered);
+}
+
 TEST(EngineGuards, InterleavedDispatchIsContractError) {
   const ScenarioSpec spec = guard_spec();
   const auto adversary = faults::equivocator(Value::of(5), Value::of(6));

@@ -236,6 +236,36 @@ TEST(FrontierRun, CleanSweepReconcilesCounts) {
   EXPECT_EQ(weighted, frontier.space);
 }
 
+// The widest faulty subset is a faulty sender (n-1 slots) plus max_f-1
+// relays (n-2 each). Past kMaxBehaviorSlots every entry point rejects the
+// config with one typed reason instead of aborting on a contract.
+TEST(FrontierRun, SlotCapIsATypedRejection) {
+  EXPECT_EQ(faults::behavior_search_unsupported({.n = 13, .m = 1, .u = 1}),
+            std::nullopt);  // 12 slots: the cap itself
+  const Config wide{.n = 14, .m = 1, .u = 1};  // 13 slots
+  const auto problem = faults::behavior_search_unsupported(wide);
+  ASSERT_TRUE(problem.has_value());
+  EXPECT_NE(problem->find("13 message slots"), std::string::npos) << *problem;
+  // max_f picks the widest subset: (8,1,2) holds 7 slots at f = 1 and
+  // 7 + 6 = 13 at its u = 2.
+  const Config two{.n = 8, .m = 1, .u = 2};
+  EXPECT_EQ(faults::behavior_search_unsupported(two, 1), std::nullopt);
+  EXPECT_TRUE(faults::behavior_search_unsupported(two).has_value());
+
+  EXPECT_THROW((void)faults::init_behavior_frontier({.n = 20, .m = 1, .u = 1}),
+               UnsupportedConfig);
+  EXPECT_THROW((void)faults::exhaustive_behavior_search(wide),
+               UnsupportedConfig);
+  EXPECT_THROW((void)faults::behavior_at(wide, -1, 0), UnsupportedConfig);
+  // A frontier whose header names such a config fails its run with the
+  // same reason.
+  faults::Frontier frontier = faults::init_behavior_frontier(kClean);
+  frontier.config = wide;
+  const faults::FrontierRun run = faults::run_behavior_frontier(frontier, {});
+  EXPECT_NE(run.error.find("13 message slots"), std::string::npos)
+      << run.error;
+}
+
 TEST(FrontierRun, KillAndResumeAtEveryBoundaryIsByteIdentical) {
   const std::string reference = artifact_of(settle(kViolating));
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "core/agreement.hpp"
@@ -17,6 +18,7 @@
 #include "protocols/crusader/crusader.hpp"
 #include "protocols/ic/interactive_consistency.hpp"
 #include "protocols/lamport/om.hpp"
+#include "sim/round_engine.hpp"
 #include "sim/runner.hpp"
 
 namespace da {
@@ -153,25 +155,46 @@ TEST(MessageCounts, ThreadedRuntimeAgreesWithSimulator) {
   EXPECT_EQ(threaded_outcome.messages_sent, core::byz_message_count(4, 1));
 }
 
-// sim.round_ms and sim.rounds are both written once per
-// RoundEngine::process_round, so over one BYZ(m,m) run the timer sketch
-// gains exactly as many samples as the counter gains rounds: m+1.
+// sim.rounds counts every RoundEngine::process_round, while sim.round_ms
+// times one round in sim::kRoundTimerEvery per thread, the thread's first
+// included: on a fresh thread, R rounds record exactly ceil(R / k) samples.
 TEST(RoundTimer, SketchCountMatchesRoundsCounter) {
   if (!kRegistryChecks) GTEST_SKIP() << "registry reads return 0";
   auto& registry = obs::MetricsRegistry::global();
   const Config config{.n = 7, .m = 2, .u = 2};
+  const auto rounds_per_run =
+      static_cast<std::uint64_t>(core::byz_depth(config.m));
+  const auto timed = [&registry] {
+    return registry.snapshot().quantiles["sim.round_ms"].count();
+  };
+  const auto ceil_div = [](std::uint64_t a, std::uint64_t b) {
+    return (a + b - 1) / b;
+  };
+  // Enough runs to cross several sampling periods without landing on a
+  // multiple of k.
+  const std::uint64_t runs = 3 * sim::kRoundTimerEvery / rounds_per_run + 1;
+  ASSERT_NE(runs * rounds_per_run % sim::kRoundTimerEvery, 0u);
+
   const std::uint64_t rounds_before = registry.counter_value("sim.rounds");
-  const std::uint64_t timed_before =
-      registry.snapshot().quantiles["sim.round_ms"].count();
-  const auto outcome =
-      DegradableAgreement(config).run(fault_free_spec(config), nullptr);
+  const std::uint64_t timed_before = timed();
+  std::uint64_t timed_after_first = 0;
+  std::thread fresh([&] {
+    const DegradableAgreement protocol(config);
+    // Each run() flushes this thread's sinks when it returns.
+    EXPECT_EQ(protocol.run(fault_free_spec(config), nullptr).rounds,
+              static_cast<int>(rounds_per_run));
+    timed_after_first = timed();
+    for (std::uint64_t i = 1; i < runs; ++i) {
+      (void)protocol.run(fault_free_spec(config), nullptr);
+    }
+  });
+  fresh.join();
   const std::uint64_t rounds =
       registry.counter_value("sim.rounds") - rounds_before;
-  EXPECT_EQ(rounds, static_cast<std::uint64_t>(outcome.rounds));
-  EXPECT_EQ(rounds, static_cast<std::uint64_t>(core::byz_depth(config.m)));
-  EXPECT_EQ(registry.snapshot().quantiles["sim.round_ms"].count() -
-                timed_before,
-            rounds);
+  EXPECT_EQ(rounds, runs * rounds_per_run);
+  // The first round on the thread is timed, the next k-1 are not.
+  EXPECT_EQ(timed_after_first - timed_before, 1u);
+  EXPECT_EQ(timed() - timed_before, ceil_div(rounds, sim::kRoundTimerEvery));
 }
 
 }  // namespace

@@ -380,6 +380,17 @@ TEST(Service, ValidateRejectsOneConfigPerRule) {
   rejects([](ServiceConfig& c) { c.round_period = 0.0; }, "round period");
   rejects([](ServiceConfig& c) { c.inject_every = 0; }, "inject_every");
   rejects([](ServiceConfig& c) { c.sample_every = -1.0; }, "sample_every");
+  // A positive period below the minimum: 1e-300 used to stall the sample
+  // clock (next += period no longer advanced it) and never terminate.
+  rejects([](ServiceConfig& c) { c.sample_every = 1e-300; }, "sample_every");
+  rejects([](ServiceConfig& c) { c.sample_every = 1e-9; }, "sample_every");
+  // The minimum scales with the round period.
+  rejects(
+      [](ServiceConfig& c) {
+        c.round_period = 64.0;
+        c.sample_every = 0.5;
+      },
+      "sample_every");
   rejects(
       [](ServiceConfig& c) {
         c.mix = {{JobKind::kByz, Config{.n = 4, .m = 2, .u = 1}, 0,
@@ -391,6 +402,14 @@ TEST(Service, ValidateRejectsOneConfigPerRule) {
   ServiceConfig fits;
   fits.cap = 4;
   EXPECT_EQ(fits.validate(), std::nullopt);
+  // The sample periods the service and front-end tests use stay valid,
+  // down to the minimum itself.
+  for (const double every :
+       {0.5, 1.0, ServiceConfig::kMinSampleEveryRounds}) {
+    ServiceConfig sampled;
+    sampled.sample_every = every;
+    EXPECT_EQ(sampled.validate(), std::nullopt) << every;
+  }
 }
 
 // ----------------------------------------------------------- admission --

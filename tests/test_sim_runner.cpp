@@ -119,6 +119,74 @@ TEST(SyncRunner, AdversaryCannotImpersonate) {
   }
 }
 
+/// Rewrites every field in place: content (value, aux) and the metadata
+/// the runtimes must restore (from, to, round). `to` aims at a node
+/// outside the instance, which the engine would have to drop as a stray
+/// fabrication were it not restored first.
+class InPlaceForger final : public RewritingAdversary {
+ public:
+  bool rewrite(Message& msg) override {
+    msg.from = 99;
+    msg.to = 1000;
+    msg.round = 7;
+    msg.value = Value::of(42);
+    msg.aux = 5;
+    return true;
+  }
+};
+
+/// Node 0 is the faulty sender of `make_pingpong(n, 4)`: each receiver
+/// must hear exactly one message, from 0 in round 0, carrying the forged
+/// content.
+void expect_normalized(const Trace& trace, int n) {
+  for (NodeId to = 1; to < n; ++to) {
+    const std::vector<Message>& got = trace.received(to);
+    ASSERT_EQ(got.size(), 1u) << "receiver " << to;
+    EXPECT_EQ(got[0].from, 0);
+    EXPECT_EQ(got[0].to, to);
+    EXPECT_EQ(got[0].round, 0);
+    EXPECT_EQ(got[0].value, Value::of(42));
+    EXPECT_EQ(got[0].aux, 5);
+  }
+}
+
+TEST(SyncRunner, InPlaceRewriteIsNormalizedOnEveryPath) {
+  constexpr int kN = 4;
+  InPlaceForger forger;
+  ReliableNetwork reliable;
+  for (NetworkModel* network : {static_cast<NetworkModel*>(nullptr),
+                                static_cast<NetworkModel*>(&reliable)}) {
+    // nullptr: the round engine's reliable-link fast path; a network:
+    // filter_fanout.
+    RunOptions options;
+    options.faulty = {0};
+    options.adversary = &forger;
+    options.network = network;
+    Trace trace;
+    options.trace = &trace;
+    const RunResult result =
+        SyncRunner(make_pingpong(kN, Value::of(4)), options).run();
+    SCOPED_TRACE(network == nullptr ? "fast path" : "filter_fanout");
+    expect_normalized(trace, kN);
+    EXPECT_EQ(result.decisions.at(1), Value::of(42));
+  }
+
+  // filter_fanout on its own, through a network.
+  RunOptions options;
+  options.faulty = {0};
+  options.adversary = &forger;
+  options.network = &reliable;
+  const Message sent{.from = 0, .to = 2, .round = 1, .value = Value::of(4)};
+  const std::vector<Message> copies =
+      filter_fanout(sent, options, /*from_is_faulty=*/true,
+                    /*fabricated=*/false);
+  ASSERT_EQ(copies.size(), 1u);
+  EXPECT_EQ(copies[0].from, 0);
+  EXPECT_EQ(copies[0].to, 2);
+  EXPECT_EQ(copies[0].round, 1);
+  EXPECT_EQ(copies[0].value, Value::of(42));
+}
+
 /// Behaves honestly except for fabricating, each round, one message aimed
 /// at a node that is not part of the instance.
 class ForeignTargetFabricator final : public Adversary {
